@@ -10,7 +10,7 @@
 //                                 [--nodes <n>] [--topology mesh|torus:RxC|ring|crossbar]
 //                                 [--trace out.json]  (op-level Perfetto trace;
 //                                  needs one --workload and a named --config)
-//   ./example_cello_cli sweep     [--workload <spec>]... [--jobs <n>]
+//   ./example_cello_cli sweep     [--workload <spec>]... [--config <name>]... [--jobs <n>]
 //                                 [--nodes <n>[,<n>...]] [--topology <kind>[,<kind>...]]
 //                                 [--shard <i>/<k>] [--shard-mode contiguous|strided]
 //                                 [--out results.json|results.csv]
@@ -26,7 +26,8 @@
 //                                  more than one traced cell each writes
 //                                  out.cell<N>.json, N the flattened
 //                                  row-major cell id)
-//                                 (all registered configs, parallel SweepRunner;
+//                                 (the named configs — all registered ones
+//                                  without --config — on a parallel SweepRunner;
 //                                  one immutable DAG/schedule per workload row;
 //                                  --shard runs one deterministic slice of the
 //                                  grid, --out writes a machine-readable,
@@ -55,9 +56,11 @@
 // documented default dataset (bicgstab -> nasa4704, gnn -> cora, power ->
 // G2_circuit) instead of the old global shallow_water1 default.
 #include <algorithm>
+#include <charconv>
 #include <cstring>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <map>
 #include <mutex>
 #include <optional>
@@ -78,6 +81,10 @@ namespace {
 
 using namespace cello;
 
+/// Upper bound of count-like flags (--n, --iters, --nodes, --trace-cell
+/// indices): far beyond any sane value, yet safe to multiply without overflow.
+constexpr i64 kMaxCount = i64{1} << 40;
+
 struct Options {
   std::string command = "run";
   std::vector<std::string> workloads;  ///< registry spec strings; empty = {"cg"}
@@ -85,7 +92,9 @@ struct Options {
   std::optional<std::string> mtx;
   std::optional<i64> n;
   std::optional<i64> iters;
-  std::string config = "all";
+  /// --config values in flag order; empty = "all".  run takes one name (or
+  /// "all"), sweep any number of distinct names.
+  std::vector<std::string> configs;
   std::optional<double> bw_gbps;  ///< default 1000
   std::optional<Bytes> sram_mib;  ///< default 4
   u32 jobs = 0;  // 0 = hardware concurrency
@@ -103,6 +112,22 @@ struct Options {
   std::vector<std::string> positional;  ///< merge: <out.json> <shard.json>...
 };
 
+/// Every numeric flag goes through here: the whole token must be a number in
+/// [lo, hi] — no trailing junk, no wrap-around, no NaN — and the error names
+/// the flag and the offending text.
+template <typename T>
+T parse_number(const std::string& flag, const std::string& text, T lo, T hi) {
+  T v{};
+  const char* end = text.data() + text.size();
+  const auto [stop, ec] = std::from_chars(text.data(), end, v);
+  if (text.empty() || ec != std::errc() || stop != end || !(v >= lo && v <= hi)) {
+    std::ostringstream os;
+    os << flag << " expects a number in [" << lo << ", " << hi << "], got '" << text << "'";
+    throw Error(os.str());
+  }
+  return v;
+}
+
 Options parse(int argc, char** argv) {
   Options o;
   if (argc > 1 && argv[1][0] != '-') o.command = argv[1];
@@ -115,19 +140,20 @@ Options parse(int argc, char** argv) {
     if (auto v = next("--workload")) o.workloads.push_back(*v);
     else if (auto v2 = next("--dataset")) o.dataset = *v2;
     else if (auto v3 = next("--mtx")) o.mtx = *v3;
-    else if (auto v4 = next("--n")) o.n = std::stoll(*v4);
-    else if (auto v5 = next("--iters")) o.iters = std::stoll(*v5);
-    else if (auto v6 = next("--bw")) o.bw_gbps = std::stod(*v6);
-    else if (auto v7 = next("--sram")) o.sram_mib = static_cast<Bytes>(std::stoull(*v7));
-    else if (auto v8 = next("--config")) o.config = *v8;
-    else if (auto v9 = next("--jobs")) o.jobs = static_cast<u32>(std::stoul(*v9));
+    else if (auto v4 = next("--n")) o.n = parse_number<i64>("--n", *v4, 1, kMaxCount);
+    else if (auto v5 = next("--iters")) o.iters = parse_number<i64>("--iters", *v5, 1, kMaxCount);
+    else if (auto v6 = next("--bw")) o.bw_gbps = parse_number<double>("--bw", *v6, 1e-3, 1e9);
+    else if (auto v7 = next("--sram")) o.sram_mib = parse_number<Bytes>("--sram", *v7, 1, 1 << 20);
+    else if (auto v8 = next("--config")) o.configs.push_back(*v8);
+    else if (auto v9 = next("--jobs")) o.jobs = parse_number<u32>("--jobs", *v9, 0, 1024);
     else if (auto vn = next("--nodes")) o.nodes = *vn;
     else if (auto vt = next("--topology")) o.topology = *vt;
     else if (auto v10 = next("--shard")) o.shard = *v10;
     else if (auto v11 = next("--shard-mode")) o.shard_mode = *v11;
     else if (auto v12 = next("--out")) o.out = *v12;
     else if (auto v13 = next("--checkpoint")) o.checkpoint = *v13;
-    else if (auto v14 = next("--retries")) o.retries = static_cast<u32>(std::stoul(*v14));
+    else if (auto v14 = next("--retries"))
+      o.retries = parse_number<u32>("--retries", *v14, 0, 1000);
     else if (auto v15 = next("--trace")) o.trace = *v15;
     else if (auto v16 = next("--trace-cell")) o.trace_cells.push_back(*v16);
     else if (std::strcmp(argv[i], "--resume") == 0) o.resume = true;
@@ -166,15 +192,23 @@ Options parse(int argc, char** argv) {
   if (std::find(o.trace_cells.begin(), o.trace_cells.end(), "all") != o.trace_cells.end() &&
       o.trace_cells.size() != 1)
     throw Error("--trace-cell all already traces every cell: pass it alone");
+  if (!o.configs.empty() && o.command != "run" && o.command != "simulate" &&
+      o.command != "sweep" && o.command != "merge")
+    throw Error("--config applies only to the run and sweep commands");
+  if (o.configs.size() > 1 && o.command != "sweep")
+    throw Error("run takes a single --config (or 'all'); repeat --config with sweep");
+  if (std::find(o.configs.begin(), o.configs.end(), "all") != o.configs.end() &&
+      o.configs.size() != 1)
+    throw Error("--config all already names every configuration: pass it alone");
   if (o.trace && o.command != "sweep") {
     if (o.workloads.size() > 1)
       throw Error("--trace records one run: pass exactly one --workload");
-    if (o.config == "all")
+    if (o.configs.empty() || o.configs.front() == "all")
       throw Error("--trace records one run: pick a single --config (not 'all')");
   }
   if (o.command == "merge" &&
       (!o.workloads.empty() || o.dataset || o.mtx || o.n || o.iters || o.bw_gbps ||
-       o.sram_mib || o.config != "all" || o.jobs != 0))
+       o.sram_mib || !o.configs.empty() || o.jobs != 0))
     throw Error("merge takes only file arguments: merge <out.json> <shard.json>...");
   if (o.workloads.empty()) o.workloads.push_back("cg");
   return o;
@@ -236,14 +270,6 @@ int list_workloads() {
   return 0;
 }
 
-std::string read_file(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) throw Error("cannot read '" + path + "'");
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  return buf.str();
-}
-
 void write_file(const std::string& path, const std::string& content) {
   std::ofstream out(path, std::ios::binary);
   if (!out) throw Error("cannot write '" + path + "'");
@@ -275,9 +301,7 @@ std::vector<std::string> fabric_specs(const Options& o) {
       o.topology ? split_csv(*o.topology) : std::vector<std::string>{"mesh"};
   std::vector<std::string> fabs;
   for (const std::string& count_text : split_csv(*o.nodes)) {
-    if (count_text.empty() || count_text.find_first_not_of("0123456789") != std::string::npos)
-      throw Error("--nodes expects a comma list of chip counts, got '" + count_text + "'");
-    const i64 count = std::stoll(count_text);
+    const i64 count = parse_number<i64>("--nodes", count_text, 1, kMaxCount);
     for (const std::string& topo : topos) {
       const std::string spec = noc::resolve_topology(topo, count).to_string();
       if (std::find(fabs.begin(), fabs.end(), spec) == fabs.end()) fabs.push_back(spec);
@@ -295,11 +319,8 @@ size_t parse_trace_cell(const std::string& text, const sim::SweepGrid& grid) {
   if (parts.size() != 2 && parts.size() != 3)
     throw Error("--trace-cell expects W,C or W,F,C (0-based indices), got '" + text + "'");
   std::vector<size_t> idx;
-  for (const auto& part : parts) {
-    if (part.empty() || part.find_first_not_of("0123456789") != std::string::npos)
-      throw Error("--trace-cell expects numeric indices, got '" + text + "'");
-    idx.push_back(static_cast<size_t>(std::stoull(part)));
-  }
+  for (const auto& part : parts)
+    idx.push_back(parse_number<size_t>("--trace-cell", part, 0, kMaxCount));
   if (parts.size() == 2 && grid.has_fabric_axis())
     throw Error("this sweep has a fabric axis: --trace-cell needs W,F,C");
   const size_t wi = idx[0];
@@ -330,21 +351,12 @@ std::string trace_cell_path(const std::string& base, size_t cell) {
 /// Both numbers must consume their whole token — "2/3x" must not silently
 /// run shard 2/3.
 void parse_shard_flag(const std::string& text, u32& index, u32& count) {
-  const auto fail = [&]() -> u32 {
-    throw Error("--shard expects i/k (e.g. 2/3), got '" + text + "'");
-  };
   const size_t slash = text.find('/');
-  if (slash == std::string::npos || slash == 0 || slash + 1 >= text.size()) fail();
-  const auto parse_u32 = [&](const std::string& part) -> u32 {
-    if (part.empty() || part.find_first_not_of("0123456789") != std::string::npos)
-      return fail();
-    char* end = nullptr;
-    const unsigned long v = std::strtoul(part.c_str(), &end, 10);
-    if (end != part.c_str() + part.size() || v > 0xffffffffUL) return fail();
-    return static_cast<u32>(v);
-  };
-  index = parse_u32(text.substr(0, slash));
-  count = parse_u32(text.substr(slash + 1));
+  if (slash == std::string::npos)
+    throw Error("--shard expects i/k (e.g. 2/3), got '" + text + "'");
+  const u32 max = std::numeric_limits<u32>::max();
+  index = parse_number<u32>("--shard index", text.substr(0, slash), 1, max);
+  count = parse_number<u32>("--shard count", text.substr(slash + 1), 1, max);
 }
 
 int merge_command(const Options& o) {
@@ -419,10 +431,8 @@ int run_cli(int argc, char** argv) {
       throw Error("run takes a single --nodes count; comma lists are for sweep");
     if (o.topology && o.topology->find(',') != std::string::npos)
       throw Error("run takes a single --topology; comma lists are for sweep");
-    if (o.nodes->empty() || o.nodes->find_first_not_of("0123456789") != std::string::npos)
-      throw Error("--nodes expects a chip count, got '" + *o.nodes + "'");
-    const noc::TopologySpec spec =
-        noc::resolve_topology(o.topology.value_or("mesh"), std::stoll(*o.nodes));
+    const noc::TopologySpec spec = noc::resolve_topology(
+        o.topology.value_or("mesh"), parse_number<i64>("--nodes", *o.nodes, 1, kMaxCount));
     arch.nodes = spec.nodes();
     arch.topology = spec.to_string();
   }
@@ -441,8 +451,13 @@ int run_cli(int argc, char** argv) {
       std::vector<std::string> spec_texts;
       spec_texts.reserve(specs.size());
       for (const auto& spec : specs) spec_texts.push_back(spec.to_string());
+      // --config narrows the grid's columns (unknown or repeated names are
+      // rejected by make_grid); without it, or with "all", every registered
+      // configuration runs.
+      const bool all_configs = o.configs.empty() || o.configs.front() == "all";
       const sim::SweepGrid grid = sim::make_grid(
-          spec_texts, sim::ConfigRegistry::global().names(), arch, fabric_specs(o));
+          spec_texts, all_configs ? sim::ConfigRegistry::global().names() : o.configs, arch,
+          fabric_specs(o));
       u32 shard_index = 1, shard_count = 1;
       if (o.shard) parse_shard_flag(*o.shard, shard_index, shard_count);
       const sim::ShardPlan plan = sim::plan_shard(
@@ -611,10 +626,11 @@ int run_cli(int argc, char** argv) {
       return 0;
     }
     // run / simulate
+    const std::string config_name = o.configs.empty() ? "all" : o.configs.front();
     const sim::Configuration* config =
-        o.config == "all" ? nullptr : sim::ConfigRegistry::global().find(o.config);
-    if (o.config != "all" && config == nullptr) {
-      std::cerr << "unknown config: " << o.config << " (use 'all' or one of:";
+        config_name == "all" ? nullptr : sim::ConfigRegistry::global().find(config_name);
+    if (config_name != "all" && config == nullptr) {
+      std::cerr << "unknown config: " << config_name << " (use 'all' or one of:";
       for (const auto& name : sim::ConfigRegistry::global().names()) std::cerr << " " << name;
       std::cerr << ")\n";
       return 1;
@@ -651,8 +667,8 @@ int run_cli(int argc, char** argv) {
 }
 
 int main(int argc, char** argv) {
-  // Catches cello::Error (bad specs, unknown datasets, unreadable .mtx) and
-  // the std:: exceptions the numeric flag parsing can throw.
+  // Catches cello::Error (bad flags and specs, unknown datasets, unreadable
+  // .mtx) and any std:: exception from below.
   try {
     return run_cli(argc, argv);
   } catch (const std::exception& e) {

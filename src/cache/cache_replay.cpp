@@ -69,12 +69,14 @@ u64 blob_hash(const std::vector<u8>& blob) {
   return h;
 }
 
-/// Stored snapshots are capped: every snapshot must stay addressable by
-/// occurrence index for the fast-forward arithmetic, so once the cap is hit
-/// the replayer gives up on cycle detection instead of evicting.  BRRIP's
-/// bimodal counter bounds real cycles at 32 occurrences; LRU converges in a
-/// handful.
-constexpr size_t kMaxSnapshots = 40;
+/// Cycle detection compares the state after each occurrence with the states
+/// after the previous kSnapshotWindow occurrences only, so a replay holds at
+/// most that many state blobs (plus the current one) — each as large as the
+/// cache's tag + replacement lanes.  Older snapshots keep their hash and
+/// stats, which is all the fast-forward arithmetic reads of them.  LRU
+/// converges with a cycle of length 1; a longer cycle merely goes undetected
+/// and its occurrences replay in full, with the same result.
+constexpr size_t kSnapshotWindow = 2;
 
 }  // namespace
 
@@ -86,7 +88,7 @@ StreamReplayer::StreamReplayer(SetAssocCache& cache, const ReplaySpans& spans)
   // host, with every tag the stream can touch rebasable into the u8 lane
   // (0xFF is the empty-way sentinel).
   bool compact = cache_.fast8_ && cache_.line_shift_ >= 0 && cache_.set_shift_ >= 0 &&
-                 spans_.addr != nullptr && detail::avx512_runtime();
+                 spans_.offset != nullptr && detail::avx512_runtime();
   if (compact) {
     const u64 min_line = spans_.min_addr >> cache_.line_shift_;
     const u64 max_line = spans_.max_addr >> cache_.line_shift_;
@@ -125,7 +127,7 @@ void StreamReplayer::run_steps(size_t step_begin, size_t step_end, ReplayService
     for (size_t i = step_begin; i < step_end; ++i) {
       const size_t e = op_end[i];
       const Bytes r0 = state_.s.dram_read, w0 = state_.s.dram_write;
-      detail::replay_spans_avx512(state_, spans_.addr, spans_.len, spans_.write, span, e);
+      detail::replay_spans_avx512(state_, spans_, span, e);
       out[i - step_begin] = {state_.s.dram_read - r0, state_.s.dram_write - w0};
       span = e;
     }
@@ -137,8 +139,8 @@ void StreamReplayer::run_steps(size_t step_begin, size_t step_end, ReplayService
     const Bytes r0 = cache_.stats_.dram_read_bytes, w0 = cache_.stats_.dram_write_bytes;
     for (size_t j = span; j < e; ++j) {
       // The capture drops prefetch hints; replay re-issues its own lookahead.
-      if (j + 4 < total) cache_.prefetch_range(spans_.addr[j + 4], spans_.len[j + 4]);
-      cache_.access_range(spans_.addr[j], spans_.len[j], spans_.write[j] != 0);
+      if (j + 4 < total) cache_.prefetch_range(spans_.addr(j + 4), spans_.len(j + 4));
+      cache_.access_range(spans_.addr(j), spans_.len(j), spans_.write(j));
     }
     out[i - step_begin] = {cache_.stats_.dram_read_bytes - r0,
                           cache_.stats_.dram_write_bytes - w0};
@@ -292,31 +294,31 @@ void StreamReplayer::run_occurrence() {
   occ_v_.resize((executed + 1) * L);
   run_steps(spans_.prefix_steps, spans_.prefix_steps + L, occ_v_.data() + executed * L);
   ++occ_;
-  if (!can_cycle_ || snaps_.empty()) return;
+  // After the last occurrence there is nothing left to fast-forward.
+  if (!can_cycle_ || snaps_.empty() || occ_ == spans_.period_count) return;
 
   Snapshot cur;
+  cur.blob = std::move(spare_blob_);
   save_state(cur.blob);
   cur.hash = blob_hash(cur.blob);
   cur.stats = current_stats();
-  for (size_t j = 0; j < snaps_.size(); ++j) {
+  const size_t first = snaps_.size() > kSnapshotWindow ? snaps_.size() - kSnapshotWindow : 0;
+  for (size_t j = first; j < snaps_.size(); ++j) {
     if (snaps_[j].hash == cur.hash && snaps_[j].blob == cur.blob) {
       fast_forward(j, cur.stats);
       return;
     }
   }
-  if (snaps_.size() < kMaxSnapshots) {
-    snaps_.push_back(std::move(cur));
-  } else {
-    can_cycle_ = false;
-    snaps_.clear();
-    snaps_.shrink_to_fit();
-  }
+  snaps_.push_back(std::move(cur));
+  if (snaps_.size() > kSnapshotWindow)
+    spare_blob_ = std::move(snaps_[snaps_.size() - 1 - kSnapshotWindow].blob);
 }
 
 void StreamReplayer::fast_forward(u64 j, const CacheStats& c_k) {
   // snaps_[i] is (state, stats) after i occurrences; the state after occ_
   // occurrences just matched snaps_[j], so occurrences advance the state
-  // through a cycle of length occ_ - j from here on.
+  // through a cycle of length occ_ - j from here on.  j + rem < occ_, so the
+  // restored blob is inside the detection window.
   const u64 k = occ_;
   const u64 cyc = k - j;
   const u64 remaining = spans_.period_count - k;
@@ -340,6 +342,7 @@ void StreamReplayer::fast_forward(u64 j, const CacheStats& c_k) {
   occ_ = spans_.period_count;
   snaps_.clear();
   snaps_.shrink_to_fit();
+  spare_blob_ = {};
 }
 
 void StreamReplayer::run_suffix() {

@@ -17,8 +17,8 @@
 //
 // Periodic fast-forward: iterative workloads repeat the same span block per
 // iteration (AccessStream detects this at capture).  After each occurrence
-// the replayer snapshots the replacement state; once a snapshot repeats the
-// remaining occurrences are pure arithmetic — stats advance by the cycle's
+// the replayer snapshots the replacement state; once the state repeats one
+// of the last two snapshots the remaining occurrences are pure arithmetic — stats advance by the cycle's
 // delta times the skipped cycles, per-op services copy cyclically, and the
 // state restores from the snapshot the final occurrence would land on.  Both
 // engines fast-forward (the direct engine for the 8-way layout); this, not
@@ -34,11 +34,12 @@
 namespace cello::cache {
 
 /// Borrowed struct-of-arrays view of a captured stream (sim::AccessStream
-/// provides one; the cache layer stays independent of sim).
+/// provides one; the cache layer stays independent of sim).  Span i starts at
+/// min_addr + offset[i] and covers len_write[i] >> 1 bytes; bit 0 of
+/// len_write[i] is the write flag.
 struct ReplaySpans {
-  const Addr* addr = nullptr;
-  const u32* len = nullptr;
-  const u8* write = nullptr;
+  const u32* offset = nullptr;
+  const u32* len_write = nullptr;
   const u32* op_end = nullptr;  ///< per materialized step: exclusive span index
   u64 prefix_steps = 0;
   u64 period_steps = 0;   ///< 0 = linear stream
@@ -47,6 +48,10 @@ struct ReplaySpans {
   u64 schedule_steps = 0; ///< prefix + period * count + suffix
   Addr min_addr = 0;
   Addr max_addr = 0;
+
+  Addr addr(size_t i) const { return min_addr + offset[i]; }
+  u32 len(size_t i) const { return len_write[i] >> 1; }
+  bool write(size_t i) const { return (len_write[i] & 1) != 0; }
 };
 
 /// Per-scheduled-op DRAM traffic the replayed spans incurred.
@@ -92,8 +97,7 @@ struct CompactState {
 bool avx512_runtime();
 
 /// Run spans [begin, end) through the compact state (cache_simd512.cpp).
-void replay_spans_avx512(CompactState& st, const Addr* addr, const u32* len, const u8* write,
-                         size_t begin, size_t end);
+void replay_spans_avx512(CompactState& st, const ReplaySpans& spans, size_t begin, size_t end);
 
 }  // namespace detail
 
@@ -147,7 +151,13 @@ class StreamReplayer {
     std::vector<u8> blob;
     CacheStats stats;
   };
-  std::vector<Snapshot> snaps_;        ///< snaps_[j] = state after j occurrences
+  /// snaps_[j] = state after j occurrences; blob emptied once j leaves the
+  /// detection window (see kSnapshotWindow).
+  std::vector<Snapshot> snaps_;
+  /// The blob that last left the window, recycled as the next snapshot's
+  /// storage: one cache-sized allocation per replay instead of one per
+  /// occurrence, which keeps the allocator from fragmenting its arenas.
+  std::vector<u8> spare_blob_;
   std::vector<ReplayService> occ_v_;   ///< per executed occurrence: period_steps services
   std::vector<ReplayService> pre_v_;   ///< prefix services
   std::vector<ReplayService> suf_v_;   ///< suffix services

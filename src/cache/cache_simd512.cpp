@@ -57,7 +57,7 @@ bool avx512_runtime() {
 
 /// Never reached: StreamReplayer only selects the compact engine when
 /// avx512_runtime() is true.
-void replay_spans_avx512(CompactState&, const Addr*, const u32*, const u8*, size_t, size_t) {}
+void replay_spans_avx512(CompactState&, const ReplaySpans&, size_t, size_t) {}
 
 #endif
 
@@ -78,9 +78,19 @@ constexpr u64 kLane = 0x0101010101010101ull;  ///< 1 in every byte
 constexpr u64 kHigh = 0x8080808080808080ull;  ///< bit 7 of every byte
 
 /// Byte-broadcast within each 8-byte lane: shuffle control replicating lane
-/// byte 0 (where the or/max-reduce below lands) across its lane.
+/// byte 0 (where the or/max-reduce below lands) across its lane.  Byte
+/// indices are per 128-bit lane, so odd qwords select byte 8.
 inline __m512i lane_bcast0() {
-  return _mm512_broadcast_i32x4(_mm_set_epi8(8, 8, 8, 8, 8, 8, 8, 8, 0, 0, 0, 0, 0, 0, 0, 0));
+  constexpr i64 k8 = 0x0808080808080808ll;
+  return _mm512_set_epi64(k8, 0, k8, 0, k8, 0, k8, 0);
+}
+
+/// Per-qword logical right shift.  The masked form with a zero source: GCC's
+/// unmasked _mm512_srli_epi64 passes an uninitialized vector as the
+/// pass-through operand, which -Wmaybe-uninitialized flags once inlined.
+template <unsigned N>
+inline __m512i srli64(__m512i v) {
+  return _mm512_maskz_srli_epi64(static_cast<__mmask8>(0xFF), v, N);
 }
 
 /// One group of `k` consecutive LRU sets (lines), all probing `tag8`.
@@ -123,9 +133,9 @@ inline void group_lru(CompactState& st, u64 set, u8 tag8, bool w, unsigned k) {
   // Age: +1 for every way ranked more recently than the selected way.  The
   // selected way's rank is or-reduced to lane byte 0, then broadcast.
   __m512i rsel = _mm512_maskz_mov_epi8(static_cast<__mmask64>(sel), Rr);
-  rsel = _mm512_or_si512(rsel, _mm512_srli_epi64(rsel, 32));
-  rsel = _mm512_or_si512(rsel, _mm512_srli_epi64(rsel, 16));
-  rsel = _mm512_or_si512(rsel, _mm512_srli_epi64(rsel, 8));
+  rsel = _mm512_or_si512(rsel, srli64<32>(rsel));
+  rsel = _mm512_or_si512(rsel, srli64<16>(rsel));
+  rsel = _mm512_or_si512(rsel, srli64<8>(rsel));
   const __m512i rb = _mm512_shuffle_epi8(rsel, lane_bcast0());
   const u64 klt = _mm512_mask_cmplt_epu8_mask(static_cast<__mmask64>(slotm), Rr, rb);
   const __m512i R2 = _mm512_mask_add_epi8(R, static_cast<__mmask64>(klt), R, _mm512_set1_epi8(1));
@@ -193,9 +203,9 @@ inline void group_brrip(CompactState& st, u64 set, u8 tag8, bool w, unsigned k) 
     // Closed-form aging: each full missing set ages by (3 - its max RRPV) —
     // exactly the number of +1 rounds the scalar victim search would run.
     const __m512i Mr = _mm512_and_si512(M, K3);
-    __m512i mx = _mm512_max_epu8(Mr, _mm512_srli_epi64(Mr, 32));
-    mx = _mm512_max_epu8(mx, _mm512_srli_epi64(mx, 16));
-    mx = _mm512_max_epu8(mx, _mm512_srli_epi64(mx, 8));
+    __m512i mx = _mm512_max_epu8(Mr, srli64<32>(Mr));
+    mx = _mm512_max_epu8(mx, srli64<16>(mx));
+    mx = _mm512_max_epu8(mx, srli64<8>(mx));
     const __m512i mxb = _mm512_shuffle_epi8(mx, lane_bcast0());
     const __m512i add = _mm512_sub_epi8(K3, mxb);
     M = _mm512_mask_add_epi8(M, static_cast<__mmask64>(fullm), M, add);
@@ -254,21 +264,21 @@ inline void walk_lines(CompactState& st, u64 first_line, u64 count, bool w, Grou
 
 }  // namespace
 
-void replay_spans_avx512(CompactState& st, const Addr* addr, const u32* len, const u8* write,
-                         size_t begin, size_t end) {
+void replay_spans_avx512(CompactState& st, const ReplaySpans& spans, size_t begin, size_t end) {
   const i32 ls = st.line_shift;
   const bool lru = st.policy == Policy::Lru;
   for (size_t si = begin; si < end; ++si) {
     if (si + 4 < end) {
       // Same lookahead the direct path's prefetch_range provides: pull the
       // upcoming span's first set's tag + aux lanes toward the host caches.
-      const u64 nset = (addr[si + 4] >> ls) & st.set_mask;
+      const u64 nset = (spans.addr(si + 4) >> ls) & st.set_mask;
       _mm_prefetch(reinterpret_cast<const char*>(&st.tags[nset * 8]), _MM_HINT_T0);
       _mm_prefetch(reinterpret_cast<const char*>(&st.aux[nset]), _MM_HINT_T0);
     }
-    const u64 first = addr[si] >> ls;
-    const u64 last = (addr[si] + len[si] - 1) >> ls;
-    const bool w = write[si] != 0;
+    const Addr a = spans.addr(si);
+    const u64 first = a >> ls;
+    const u64 last = (a + spans.len(si) - 1) >> ls;
+    const bool w = spans.write(si);
     if (lru)
       walk_lines(st, first, last - first + 1, w, group_lru);
     else

@@ -2,7 +2,7 @@
 
 #include <algorithm>
 
-#include "common/error.hpp"
+#include "common/failpoint.hpp"
 #include "sim/policies/access_gen.hpp"
 #include "sim/policies/schedule_policy.hpp"
 
@@ -103,9 +103,9 @@ u64 AccessStream::fingerprint() const {
   s.mix(min_addr);
   s.mix(max_addr);
   s.mix(total_lines);
-  for (Addr a : addr) s.mix(a);
-  for (u32 l : len) s.mix(l);
-  for (u8 w : write) s.mix(w);
+  s.mix(packable ? 1 : 0);
+  for (u32 o : offset) s.mix(o);
+  for (u32 lw : len_write) s.mix(lw);
   for (u32 e : op_end) s.mix(e);
   return s.a ^ (s.b * 0x9e3779b97f4a7c15ull);
 }
@@ -147,13 +147,24 @@ AccessStream AccessStream::capture(const ir::TensorDag& dag, const score::Schedu
   }
 
   // ---- pass 2: span emission (prefix + one period + suffix) ----
+  // Spans are packed against the lowest mapped address while emitting (every
+  // span starts inside or past a mapped tensor) and rebased onto min_addr at
+  // the end.
+  Addr base = ~Addr{0};
+  for (const auto& e : map.entries) base = std::min(base, e.start);
+  auto pack = [&](Addr a, Bytes l, bool w, u32& off, u32& lw) {
+    if (a < base || a - base > 0xffffffffull || l > kMaxSpanBytes) return false;
+    off = static_cast<u32>(a - base);
+    lw = static_cast<u32>(l) << 1 | (w ? 1u : 0u);
+    return true;
+  };
+
   OpTrace t;
   t.dag = &dag;
   t.map = &map;
   t.matrix = matrix;
   OpAccessScratch scratch;
-  u64 block_lines = 0;
-  auto emit_step = [&](size_t i) {
+  auto emit_step = [&](size_t i, auto&& span) {
     const ir::EinsumOp& op = dag.op(sched.steps[i].op);
     t.op = &op;
     t.service_output = svc_out[i] != 0;
@@ -162,78 +173,100 @@ AccessStream AccessStream::capture(const ir::TensorDag& dag, const score::Schedu
     emit_op_accesses(
         t, arch, scratch,
         [&](Addr a, Bytes l, bool w) {
-          if (l == 0) return;
-          CELLO_CHECK_MSG(l <= 0xffffffffull, "access span exceeds the stream's 32-bit length");
-          if (s.addr.empty() || a < s.min_addr) s.min_addr = a;
-          if (s.addr.empty() || a + l - 1 > s.max_addr) s.max_addr = a + l - 1;
-          s.addr.push_back(a);
-          s.len.push_back(static_cast<u32>(l));
-          s.write.push_back(w ? 1 : 0);
-          block_lines +=
-              (a + l - 1) / s.line_bytes - a / s.line_bytes + 1;
+          if (l != 0) span(a, l, w);
         },
         [](Addr, Bytes) {});
-    s.op_end.push_back(static_cast<u32>(s.addr.size()));
   };
 
-  Period p = find_period(sig);
-  if (p.count >= 2) {
-    for (size_t i = 0; i < p.prefix; ++i) emit_step(i);
-    const u64 prefix_lines = block_lines;
+  // Appends a step's spans to the lanes.
+  Addr lo = ~Addr{0}, hi = 0;
+  u64 block_lines = 0;
+  auto record = [&](size_t i) {
+    emit_step(i, [&](Addr a, Bytes l, bool w) {
+      u32 off, lw;
+      if (!s.packable || !pack(a, l, w, off, lw)) {
+        s.packable = false;
+        return;
+      }
+      lo = std::min(lo, a);
+      hi = std::max(hi, a + l - 1);
+      s.offset.push_back(off);
+      s.len_write.push_back(lw);
+      block_lines += (a + l - 1) / s.line_bytes - a / s.line_bytes + 1;
+    });
+    s.op_end.push_back(static_cast<u32>(s.offset.size()));
+  };
 
-    block_lines = 0;
-    const size_t period_span_begin = s.addr.size();
-    const size_t period_op_begin = s.op_end.size();
-    for (size_t i = p.prefix; i < p.prefix + p.steps; ++i) emit_step(i);
-    const u64 period_lines = block_lines;
-    const size_t period_span_end = s.addr.size();
-    const size_t period_op_end = s.op_end.size();
-
-    // Confirm the signature match with the real thing: occurrence 2 must
-    // emit byte-identical spans at the same op boundaries.  (Induction to
-    // the remaining occurrences rides on the two-lane signatures.)
-    block_lines = 0;
-    for (size_t i = p.prefix + p.steps; i < p.prefix + 2 * p.steps; ++i) emit_step(i);
-    const size_t nspans = period_span_end - period_span_begin;
-    bool periodic =
-        s.addr.size() - period_span_end == nspans &&
-        std::equal(s.addr.begin() + period_span_begin, s.addr.begin() + period_span_end,
-                   s.addr.begin() + period_span_end) &&
-        std::equal(s.len.begin() + period_span_begin, s.len.begin() + period_span_end,
-                   s.len.begin() + period_span_end) &&
-        std::equal(s.write.begin() + period_span_begin, s.write.begin() + period_span_end,
-                   s.write.begin() + period_span_end);
-    if (periodic)
-      for (size_t k = 0; k < p.steps; ++k)
-        periodic = periodic && s.op_end[period_op_end + k] - period_span_end ==
-                                   s.op_end[period_op_begin + k] - period_span_begin;
-
-    if (periodic) {
-      // Drop the verification block and keep the periodic decomposition.
-      s.addr.resize(period_span_end);
-      s.len.resize(period_span_end);
-      s.write.resize(period_span_end);
-      s.op_end.resize(period_op_end);
-      block_lines = 0;
-      for (size_t i = p.prefix + p.count * p.steps; i < n; ++i) emit_step(i);
-      s.prefix_steps = p.prefix;
-      s.period_steps = p.steps;
-      s.period_count = p.count;
-      s.suffix_steps = n - p.prefix - p.count * p.steps;
-      s.total_lines = prefix_lines + period_lines * p.count + block_lines;
-      return s;
+  // Packs the lanes into their final form: exact-size storage, offsets
+  // relative to min_addr, or no spans at all when some span did not fit.
+  auto finish = [&]() {
+    if (!s.packable) {
+      s.offset = {};
+      s.len_write = {};
+      s.op_end = {};
+      s.total_lines = 0;
+      return;
     }
-    // The signatures lied (or the emission is genuinely step-dependent):
-    // keep the spans emitted so far and fall through to linear.
-    for (size_t i = p.prefix + 2 * p.steps; i < n; ++i) emit_step(i);
+    if (!s.offset.empty()) {
+      s.min_addr = lo;
+      s.max_addr = hi;
+      const u32 shift = static_cast<u32>(lo - base);
+      for (u32& o : s.offset) o -= shift;
+    }
+    s.offset.shrink_to_fit();
+    s.len_write.shrink_to_fit();
+    s.op_end.shrink_to_fit();
+  };
+
+  const Period p = find_period(sig);
+  if (p.count < 2) {
+    for (size_t i = 0; i < n; ++i) record(i);
     s.prefix_steps = n;
-    s.total_lines = prefix_lines + period_lines + block_lines;
+    s.total_lines = block_lines;
+    finish();
     return s;
   }
 
-  for (size_t i = 0; i < n; ++i) emit_step(i);
-  s.prefix_steps = n;
-  s.total_lines = block_lines;
+  for (size_t i = 0; i < p.prefix; ++i) record(i);
+  const u64 prefix_lines = block_lines;
+  block_lines = 0;
+  const size_t period_op_begin = s.op_end.size();
+  for (size_t i = p.prefix; i < p.prefix + p.steps; ++i) record(i);
+  const u64 period_lines = block_lines;
+
+  // Confirm the signature match with the real thing: occurrence 2 must emit
+  // the stored occurrence's exact spans at the same op boundaries.  It is
+  // compared in place, span by span, so the check stores nothing.
+  // (Induction to the remaining occurrences rides on the two-lane
+  // signatures.)  The "access_stream.verify" fail point forces a mismatch.
+  bool periodic = s.packable && !failpoint::hit("access_stream.verify");
+  size_t cursor = period_op_begin == 0 ? 0 : s.op_end[period_op_begin - 1];
+  for (size_t k = 0; k < p.steps && periodic; ++k) {
+    emit_step(p.prefix + p.steps + k, [&](Addr a, Bytes l, bool w) {
+      u32 off, lw;
+      periodic = periodic && cursor < s.op_end[period_op_begin + k] && pack(a, l, w, off, lw) &&
+                 s.offset[cursor] == off && s.len_write[cursor] == lw;
+      ++cursor;
+    });
+    periodic = periodic && cursor == s.op_end[period_op_begin + k];
+  }
+
+  block_lines = 0;
+  if (periodic) {
+    for (size_t i = p.prefix + p.count * p.steps; i < n; ++i) record(i);
+    s.prefix_steps = p.prefix;
+    s.period_steps = p.steps;
+    s.period_count = p.count;
+    s.suffix_steps = n - p.prefix - p.count * p.steps;
+    s.total_lines = prefix_lines + period_lines * p.count + block_lines;
+  } else {
+    // The signatures lied (or the emission is genuinely step-dependent):
+    // keep prefix + occurrence 1 and continue linearly from occurrence 2.
+    for (size_t i = p.prefix + p.steps; i < n; ++i) record(i);
+    s.prefix_steps = n;
+    s.total_lines = prefix_lines + period_lines + block_lines;
+  }
+  finish();
   return s;
 }
 

@@ -51,9 +51,11 @@ struct AccessStream {
   u64 suffix_steps = 0;    ///< materialized trailing steps
 
   // ---- spans of the materialized steps (prefix, one period, suffix) ----
-  std::vector<Addr> addr;
-  std::vector<u32> len;
-  std::vector<u8> write;
+  // Packed at 8 bytes per span: the span's first byte as a 32-bit offset from
+  // min_addr, and its length shifted left by one with the write bit in bit 0.
+  // Use addr() / len() / write() to decode.
+  std::vector<u32> offset;
+  std::vector<u32> len_write;
   /// Per materialized step: exclusive span index — step s owns spans
   /// [op_end[s-1], op_end[s]).  These are the op boundary markers replay
   /// converts span traffic back into per-step BufferServices at.
@@ -62,13 +64,24 @@ struct AccessStream {
   Addr min_addr = 0;   ///< lowest byte any span touches
   Addr max_addr = 0;   ///< highest byte any span touches (inclusive)
   u64 total_lines = 0;  ///< line count over the whole schedule (periods expanded)
+  /// False when some span did not fit the packed lanes (an address window
+  /// wider than 4 GiB or a span of 2 GiB or more).  Such a stream holds no
+  /// spans and is never compatible(), so runs service those ops directly.
+  bool packable = true;
+
+  /// Largest span length the packed len_write lane holds.
+  static constexpr u64 kMaxSpanBytes = 0x7fffffffull;
+
+  Addr addr(size_t i) const { return min_addr + offset[i]; }
+  u32 len(size_t i) const { return len_write[i] >> 1; }
+  bool write(size_t i) const { return (len_write[i] & 1) != 0; }
 
   u64 materialized_steps() const { return prefix_steps + period_steps + suffix_steps; }
-  size_t spans() const { return addr.size(); }
+  size_t spans() const { return offset.size(); }
 
   /// True when `arch` matches the capture-time span-derivation inputs.
   bool compatible(const AcceleratorConfig& arch) const {
-    return line_bytes == arch.line_bytes && rf_bytes == arch.rf_bytes;
+    return packable && line_bytes == arch.line_bytes && rf_bytes == arch.rf_bytes;
   }
 
   /// Order-sensitive digest of the full stream (header + every span array);
@@ -78,6 +91,9 @@ struct AccessStream {
   /// Derive the stream for one (dag, schedule, map, router) slot.  `matrix`
   /// may be null (synthetic gather); `router` must be built over the same
   /// dag + schedule.  Deterministic: equal inputs produce equal streams.
+  /// A detected period is confirmed by re-emitting its second occurrence and
+  /// comparing it against the stored first one in place; on a mismatch the
+  /// stream falls back to linear.  The lanes are stored at exact size.
   static AccessStream capture(const ir::TensorDag& dag, const score::Schedule& sched,
                               const AddressMap& map, const sparse::CsrMatrix* matrix,
                               const AcceleratorConfig& arch, const Router& router);

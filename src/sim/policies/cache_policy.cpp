@@ -12,9 +12,8 @@ namespace {
 
 cache::ReplaySpans spans_view(const AccessStream& s) {
   cache::ReplaySpans v;
-  v.addr = s.addr.data();
-  v.len = s.len.data();
-  v.write = s.write.data();
+  v.offset = s.offset.data();
+  v.len_write = s.len_write.data();
   v.op_end = s.op_end.data();
   v.prefix_steps = s.prefix_steps;
   v.period_steps = s.period_steps;

@@ -4,13 +4,15 @@
 // gather pattern against the real sparse matrix when one is provided.
 //
 // Two servicing paths, bit-identical by construction:
+//  * replay() consumes a captured AccessStream through cache::StreamReplayer
+//    — the path every untraced run takes.  One capture amortizes address
+//    generation across every cache geometry in a sweep column, and periodic
+//    streams fast-forward once the cache state cycles.  replay_many()
+//    batches N pooled policies over a single stream pass.
 //  * service_op drives the cache directly through the shared span emitter
-//    (sim/policies/access_gen.hpp), allocation-free on the steady path;
-//  * replay() consumes a pre-captured AccessStream of the same spans through
-//    cache::StreamReplayer — one capture amortizes address generation across
-//    every cache geometry in a sweep column, and periodic streams
-//    fast-forward once the cache state cycles.  replay_many() batches N
-//    pooled policies over a single stream pass.
+//    (sim/policies/access_gen.hpp), allocation-free on the steady path — the
+//    path of traced runs (per-step occupancy samples) and of the
+//    CELLO_DISABLE_REPLAY oracle.
 #pragma once
 
 #include <vector>

@@ -210,8 +210,13 @@ SweepGrid make_grid(const std::vector<std::string>& workload_specs,
   }
   grid.configs.reserve(config_names.size());
   const auto& registry = ConfigRegistry::global();
-  for (const std::string& name : config_names)
-    grid.configs.push_back(registry.at(name).name);  // normalized registered name
+  for (const std::string& name : config_names) {
+    const std::string& canonical = registry.at(name).name;  // normalized registered name
+    if (std::find(grid.configs.begin(), grid.configs.end(), canonical) != grid.configs.end())
+      throw Error("duplicate configuration '" + name + "' (registered as '" + canonical +
+                  "') in the sweep grid");
+    grid.configs.push_back(canonical);
+  }
   grid.arch = arch;
   grid.fingerprint = grid_fingerprint(grid);
   return grid;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdlib>
+#include <optional>
 
 #include "common/error.hpp"
 #include "common/types.hpp"
@@ -262,15 +263,19 @@ RunMetrics Simulator::run_impl(const ir::TensorDag& dag, const Configuration& co
   BufferPolicy* const policy = slot.policy.get();
   const bool trace = policy->trace_driven();
 
-  // Stream replay: consume the pre-captured access stream in one pass up
-  // front instead of regenerating per-op accesses inside the loop.  Traced
-  // runs stay on the direct path — their per-step occupancy samples need the
-  // cache state to evolve stepwise.  policy->replay re-checks geometry
-  // compatibility and falls back (returns false) on mismatch, so a stale
-  // stream can slow a run down but never skew it.
+  // Stream replay: consume the access stream in one pass up front instead of
+  // regenerating per-op accesses inside the loop.  Without a pre-captured
+  // stream the run captures its own, so every untraced replay-capable run
+  // replays.  Traced runs and CELLO_DISABLE_REPLAY stay on the direct path —
+  // per-step occupancy samples need the cache state to evolve stepwise, and
+  // the escape hatch is the direct-path oracle.  policy->replay re-checks
+  // geometry compatibility and falls back (returns false) on mismatch, so a
+  // stale stream can slow a run down but never skew it.
   const std::vector<BufferService>* replayed = nullptr;
-  if (trace && stream != nullptr && sink == nullptr && policy->supports_replay() &&
-      !replay_disabled_by_env()) {
+  std::optional<AccessStream> own_stream;
+  if (trace && sink == nullptr && policy->supports_replay() && !replay_disabled_by_env()) {
+    if (stream == nullptr)
+      stream = &own_stream.emplace(AccessStream::capture(dag, sched, map, matrix_, arch, router));
     CELLO_CHECK_MSG(stream->schedule_steps == sched.steps.size(),
                     "access stream captured over a different schedule ("
                         << stream->schedule_steps << " steps, schedule has "

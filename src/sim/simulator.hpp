@@ -119,13 +119,14 @@ struct RunArtifacts {
   trace::TraceSink* trace = nullptr;
   /// Pre-captured access stream of (`schedule`, `address_map`) — see
   /// AccessStream::capture; requires `schedule` alongside.  When the
-  /// configuration's buffer policy can replay it (CachePolicy under a
-  /// matching geometry), the run consumes the stream instead of regenerating
-  /// per-op accesses — bit-identical metrics, several-fold faster.  Ignored
-  /// (with automatic fallback to direct servicing) for policies or runs that
-  /// cannot replay: analytic policies, traced runs (per-step occupancy
-  /// samples need stepwise cache state), geometry mismatches, or
-  /// CELLO_DISABLE_REPLAY=1 in the environment.
+  /// configuration's buffer policy can replay (CachePolicy), the run consumes
+  /// the stream instead of regenerating per-op accesses — bit-identical
+  /// metrics, several-fold faster.  Null = the run captures its own stream
+  /// when it would replay one; a shared stream only saves that capture.
+  /// Runs that cannot replay service every op directly: analytic policies,
+  /// traced runs (per-step occupancy samples need stepwise cache state),
+  /// geometry mismatches, or CELLO_DISABLE_REPLAY=1 in the environment (the
+  /// direct-path oracle replay is tested against).
   const AccessStream* access_stream = nullptr;
 };
 

@@ -381,15 +381,17 @@ std::vector<SweepResult> run_grid(u32 threads, const std::vector<WorkloadView>& 
   });
 
   // ---- access streams (third prebuild wave) ----
-  // One captured AccessStream per (DAG, router key) any pending single-node
-  // trace-driven replay-capable cell touches.  Capture is config-independent
-  // — only the schedule shape and routing decisions enter the stream — so
-  // configurations sharing a router slot (e.g. the Table IV cache presets on
-  // the op-by-op schedule) replay one stream: address generation is paid once
-  // per column instead of once per cell.  Simulator::run picks replay up
-  // automatically from RunArtifacts; traced cells stay on the direct path
-  // (run_impl gates replay on the absence of a sink), and multi-node rows
-  // keep their historical path untouched.
+  // One captured AccessStream per (DAG, router key) that a pending
+  // trace-driven replay-capable cell or 1-node baseline touches: single-node
+  // rows, multi-node shard DAGs and the full DAGs the baselines run alike.
+  // Capture is config-independent — only the schedule shape and routing
+  // decisions enter the stream — so configurations sharing a router slot
+  // (e.g. the Table IV cache presets on the op-by-op schedule) replay one
+  // stream: address generation is paid once per column instead of once per
+  // cell.  Slots key on DAG identity, so when the grid has a single-chip
+  // fabric the baselines replay that row's stream instead of capturing
+  // again.  Simulator::run picks replay up from RunArtifacts; traced cells
+  // stay on the direct path (run_impl gates replay on the absence of a sink).
   std::vector<char> config_replayable(C, 0);
   if (!replay_disabled_by_env()) {
     for (size_t ci = 0; ci < C; ++ci) {
@@ -409,11 +411,14 @@ std::vector<SweepResult> run_grid(u32 threads, const std::vector<WorkloadView>& 
     const size_t cell = cells != nullptr ? (*cells)[j] : j;
     const size_t rf = cell / C;
     const size_t ci = cell % C;
-    if (!config_replayable[ci]) continue;
-    if (rows[rf].part != nullptr || rows[rf].dag == nullptr) continue;
-    const size_t di = dag_slot[rf];
-    stream_needed[di][config_rslot[ci]] = 1;
-    dag_matrix[di] = workloads[rf / F].matrix;
+    if (!config_replayable[ci] || rows[rf].dag == nullptr) continue;
+    const size_t wi = rf / F;
+    stream_needed[dag_slot[rf]][config_rslot[ci]] = 1;
+    dag_matrix[dag_slot[rf]] = workloads[wi].matrix;
+    if (rows[rf].part != nullptr) {
+      stream_needed[wl_dag_slot[wi]][config_rslot[ci]] = 1;
+      dag_matrix[wl_dag_slot[wi]] = workloads[wi].matrix;
+    }
   }
   struct StreamJob {
     const ir::TensorDag* dag;
@@ -441,9 +446,10 @@ std::vector<SweepResult> run_grid(u32 threads, const std::vector<WorkloadView>& 
 
   // ---- 1-node baselines ----
   // Parallel-efficiency needs "the whole workload on one chip" per (workload,
-  // config); run those once up front against the same shared artifacts, so a
-  // {1,4,16,64}-node column reuses one baseline instead of re-simulating it
-  // per fabric.  A baseline failure quarantines only the cells that fold it.
+  // config); run those once up front against the same shared artifacts —
+  // the full DAG's access stream included — so a {1,4,16,64}-node column
+  // reuses one baseline instead of re-simulating it per fabric.  A baseline
+  // failure quarantines only the cells that fold it.
   struct Baseline {
     double seconds = 0;
     std::string error;
@@ -464,6 +470,8 @@ std::vector<SweepResult> run_grid(u32 threads, const std::vector<WorkloadView>& 
       art.reuse_index = &*reuse[di][ki];
       art.router_tables = &*rtables[di][config_rslot[ci]];
       art.scratch = &scratches[worker];
+      const auto& stream = streams[di][config_rslot[ci]];
+      if (stream.has_value()) art.access_stream = &*stream;
       base.seconds = simulator.run(*workloads[wi].dag, configs[ci], art).seconds;
     } catch (const std::exception& e) {
       base.error = e.what();

@@ -3,21 +3,29 @@
 // bit-identical to direct service_op simulation — per metric field, per op —
 // on every golden workload under all seven Table IV presets (plus Flex+KV,
 // which is trace-driven but not replayable and must be untouched by the
-// plumbing).  Also pins: capture determinism (fingerprint + field level),
-// replay_many ≡ N independent replays, the CELLO_DISABLE_REPLAY escape hatch,
-// and the scalar replay engine (CELLO_DISABLE_AVX512) against the SIMD one.
+// plumbing), on multi-node sweep cells and their 1-node baselines, and on
+// runs that capture their own stream.  The direct oracle is always the
+// CELLO_DISABLE_REPLAY escape hatch.  Also pins: capture determinism
+// (fingerprint + field level), decoded stream contents against digests of
+// the unpacked pre-packing capture, the linear fallback of a failed period
+// verification, replay_many ≡ N independent replays, and the scalar replay
+// engine (CELLO_DISABLE_AVX512) against the SIMD one.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <cstring>
 #include <string>
 #include <vector>
 
+#include "common/failpoint.hpp"
 #include "sim/access_stream.hpp"
 #include "sim/policies/cache_policy.hpp"
 #include "sim/policies/schedule_policy.hpp"
 #include "sim/registry.hpp"
+#include "sim/shard.hpp"
 #include "sim/simulator.hpp"
 #include "sim/sweep.hpp"
+#include "sim/workload_registry.hpp"
 #include "sparse/datasets.hpp"
 #include "workloads/cg.hpp"
 #include "workloads/gnn.hpp"
@@ -55,6 +63,34 @@ void expect_metrics_equal(const RunMetrics& a, const RunMetrics& b, const std::s
     EXPECT_EQ(a.per_op[i].macs, b.per_op[i].macs) << what << " op " << i;
     EXPECT_EQ(a.per_op[i].dram_bytes, b.per_op[i].dram_bytes) << what << " op " << i;
   }
+}
+
+u64 dbits(double v) {
+  u64 u;
+  static_assert(sizeof u == sizeof v);
+  std::memcpy(&u, &v, sizeof u);
+  return u;
+}
+
+/// expect_metrics_equal plus the multi-node fold's fields.
+void expect_folded_equal(const RunMetrics& a, const RunMetrics& b, const std::string& what) {
+  expect_metrics_equal(a, b, what);
+  EXPECT_EQ(a.nodes, b.nodes) << what;
+  EXPECT_EQ(a.noc_bytes, b.noc_bytes) << what;
+  EXPECT_EQ(dbits(a.noc_seconds), dbits(b.noc_seconds)) << what;
+  EXPECT_EQ(dbits(a.parallel_efficiency), dbits(b.parallel_efficiency)) << what;
+}
+
+/// Every registered configuration whose buffer policy replays streams.
+std::vector<std::string> replay_capable_configs(const AcceleratorConfig& arch) {
+  std::vector<std::string> names;
+  for (const auto& name : ConfigRegistry::global().names()) {
+    const Configuration& config = ConfigRegistry::global().at(name);
+    if (!config.buffers) continue;
+    const auto probe = config.buffers(arch);
+    if (probe->trace_driven() && probe->supports_replay()) names.push_back(name);
+  }
+  return names;
 }
 
 /// The metrics-golden workload set: synthetic CG (periodic — exercises the
@@ -123,7 +159,11 @@ TEST(AccessStream, DirectRunReplayMatchesServiceOp) {
     RunArtifacts direct_art;
     direct_art.schedule = &sched;
     direct_art.address_map = &map;
-    const RunMetrics direct = simulator.run(dag, config, direct_art);
+    RunMetrics direct;
+    {
+      ScopedEnv off("CELLO_DISABLE_REPLAY", "1");
+      direct = simulator.run(dag, config, direct_art);
+    }
 
     RunArtifacts replay_art = direct_art;
     replay_art.access_stream = &stream;
@@ -140,7 +180,232 @@ TEST(AccessStream, DirectRunReplayMatchesServiceOp) {
       const RunMetrics escaped = simulator.run(dag, config, replay_art);
       expect_metrics_equal(direct, escaped, std::string(cname) + " escape hatch");
     }
+    // Without a stream the run captures its own and still replays.
+    const RunMetrics lazy = simulator.run(dag, config, direct_art);
+    expect_metrics_equal(direct, lazy, std::string(cname) + " lazy capture");
   }
+}
+
+// Multi-node sweep cells replay their shard DAG's stream and the 1-node
+// baselines replay the full DAG's; both must be bit-identical to the direct
+// path — every fold field, parallel efficiency included.  With a single-chip
+// fabric in the grid the baselines share that row's stream; without one they
+// capture their own.
+TEST(AccessStream, MultinodeSweepReplayBitIdenticalOnGoldens) {
+  const AcceleratorConfig arch;
+  const std::vector<std::string> specs = {"cg:m=81920,n=16,nnz=327680,iters=5,words=4",
+                                          "gnn:m=2708,nnz=9464,in=1433,out=7", "resnet",
+                                          "cg:dataset=fv1,n=16,iters=3,words=4"};
+  const std::vector<std::string> configs = replay_capable_configs(arch);
+  ASSERT_GE(configs.size(), 4u);
+  const SweepRunner runner(2);
+  struct Case {
+    std::vector<std::string> specs;
+    std::vector<std::string> fabrics;
+  };
+  const Case cases[] = {
+      {specs, {"1", "mesh:2x2", "torus:2x2", "mesh:4x4", "torus:4x4"}},
+      {{specs[1], specs[3]}, {"mesh:2x2", "torus:4x4"}},
+  };
+  for (const Case& c : cases) {
+    const SweepGrid grid = make_grid(c.specs, configs, arch, c.fabrics);
+    const ShardPlan plan = plan_shard(grid, 1, 1);
+    const auto fast = runner.run_shard(grid, plan);
+    std::vector<SweepResult> slow;
+    {
+      ScopedEnv off("CELLO_DISABLE_REPLAY", "1");
+      slow = runner.run_shard(grid, plan);
+    }
+    ASSERT_EQ(fast.size(), grid.cells());
+    ASSERT_EQ(slow.size(), grid.cells());
+    for (size_t i = 0; i < fast.size(); ++i) {
+      ASSERT_TRUE(fast[i].ok()) << fast[i].error;
+      ASSERT_TRUE(slow[i].ok()) << slow[i].error;
+      expect_folded_equal(fast[i].metrics, slow[i].metrics,
+                          fast[i].workload + "/" + fast[i].fabric + "/" + fast[i].config);
+    }
+  }
+}
+
+// A Simulator::run with no artifacts captures its stream lazily — for the
+// single-chip run and, at nodes = 4, for the shard run and its baseline —
+// and must match the direct path bit for bit.  (The synthetic 81920-row CG
+// is left to the sweep tests above: its direct runs dominate the suite.)
+TEST(AccessStream, LazyCaptureRunMatchesDirect) {
+  const sparse::CsrMatrix fv1 = sparse::instantiate(sparse::dataset_by_name("fv1"));
+  const auto wls = golden_workloads(fv1);
+  for (const i64 nodes : {1, 4}) {
+    AcceleratorConfig arch;
+    arch.nodes = nodes;
+    for (const auto& name : replay_capable_configs(AcceleratorConfig{})) {
+      const Configuration& config = ConfigRegistry::global().at(name);
+      for (const auto& wl : wls) {
+        if (wl.name == "cg") continue;
+        const Simulator simulator(arch, wl.matrix);
+        const RunMetrics lazy = simulator.run(wl.dag, config);
+        RunMetrics direct;
+        {
+          ScopedEnv off("CELLO_DISABLE_REPLAY", "1");
+          direct = simulator.run(wl.dag, config);
+        }
+        expect_folded_equal(lazy, direct,
+                            wl.name + "/" + name + "/nodes=" + std::to_string(nodes));
+      }
+    }
+  }
+}
+
+/// Decoded spans of a stream in schedule order, periods expanded.
+struct DecodedSpan {
+  Addr addr;
+  u32 len;
+  bool write;
+  bool operator==(const DecodedSpan&) const = default;
+};
+std::vector<DecodedSpan> expand(const AccessStream& s) {
+  std::vector<DecodedSpan> out;
+  auto steps = [&](u64 begin, u64 end) {
+    const size_t b = begin == 0 ? 0 : s.op_end[begin - 1];
+    const size_t e = end == 0 ? 0 : s.op_end[end - 1];
+    for (size_t i = b; i < e; ++i) out.push_back({s.addr(i), s.len(i), s.write(i)});
+  };
+  steps(0, s.prefix_steps);
+  for (u64 o = 0; o < s.period_count; ++o)
+    steps(s.prefix_steps, s.prefix_steps + s.period_steps);
+  const u64 suffix = s.prefix_steps + s.period_steps;
+  steps(suffix, suffix + s.suffix_steps);
+  return out;
+}
+
+// A failed period verification (forced through the "access_stream.verify"
+// fail point) keeps prefix + occurrence 1 and re-emits the rest linearly:
+// the stream must expand to exactly the periodic capture's spans and replay
+// bit-identically to the direct path.
+TEST(AccessStream, ForcedVerificationMismatchFallsBackToLinear) {
+  const sparse::CsrMatrix fv1 = sparse::instantiate(sparse::dataset_by_name("fv1"));
+  const ir::TensorDag dag =
+      workloads::build_cg_dag({sparse::dataset_by_name("fv1").rows, 16, fv1.nnz(), 3, 4});
+  const AcceleratorConfig arch;
+  const Simulator simulator(arch, &fv1);
+  for (const char* cname : {"Flex+LRU", "SCORE+BRRIP"}) {
+    const auto& config = ConfigRegistry::global().at(cname);
+    const score::Schedule sched = simulator.make_schedule(dag, config);
+    const AddressMap map = AddressMap::build(dag);
+    const Router router(dag, sched, config.schedule, config.allow_delayed_hold, arch);
+    const AccessStream periodic = AccessStream::capture(dag, sched, map, &fv1, arch, router);
+    ASSERT_GT(periodic.period_steps, 0u) << cname;
+
+    failpoint::arm("access_stream.verify", "throw");
+    const AccessStream linear = AccessStream::capture(dag, sched, map, &fv1, arch, router);
+    EXPECT_EQ(failpoint::hit_count("access_stream.verify"), 1u);
+    failpoint::disarm("access_stream.verify");
+
+    EXPECT_EQ(linear.period_steps, 0u) << cname;
+    EXPECT_EQ(linear.period_count, 0u) << cname;
+    EXPECT_EQ(linear.prefix_steps, linear.schedule_steps) << cname;
+    EXPECT_EQ(linear.total_lines, periodic.total_lines) << cname;
+    EXPECT_EQ(linear.min_addr, periodic.min_addr) << cname;
+    EXPECT_EQ(linear.max_addr, periodic.max_addr) << cname;
+    EXPECT_TRUE(expand(linear) == expand(periodic)) << cname;
+
+    RunArtifacts art;
+    art.schedule = &sched;
+    art.address_map = &map;
+    RunMetrics direct;
+    {
+      ScopedEnv off("CELLO_DISABLE_REPLAY", "1");
+      direct = simulator.run(dag, config, art);
+    }
+    art.access_stream = &linear;
+    expect_metrics_equal(direct, simulator.run(dag, config, art),
+                         std::string(cname) + " linear fallback");
+  }
+}
+
+// A span the packed lanes cannot hold (here a 4 GiB activation: lengths cap
+// at 2 GiB) makes the whole stream unpackable: no spans, never compatible,
+// refused by replay — runs fall back to direct servicing instead of failing.
+TEST(AccessStream, UnpackableStreamIsRefused) {
+  const Workload wl = WorkloadRegistry::global().resolve("resnet:spatial=4194304");
+  const AcceleratorConfig arch;
+  const Simulator simulator(arch);
+  const auto& config = ConfigRegistry::global().at("Flex+LRU");
+  const score::Schedule sched = simulator.make_schedule(*wl.dag, config);
+  const AddressMap map = AddressMap::build(*wl.dag);
+  const Router router(*wl.dag, sched, config.schedule, config.allow_delayed_hold, arch);
+  const AccessStream s = AccessStream::capture(*wl.dag, sched, map, nullptr, arch, router);
+  EXPECT_FALSE(s.packable);
+  EXPECT_EQ(s.spans(), 0u);
+  EXPECT_TRUE(s.op_end.empty());
+  EXPECT_EQ(s.schedule_steps, sched.steps.size());
+  EXPECT_FALSE(s.compatible(arch));
+  CachePolicy policy(arch, cache::Policy::Lru);
+  std::vector<BufferService> services;
+  EXPECT_FALSE(policy.replay(s, services));
+}
+
+// The packed lanes must decode to exactly what the unpacked capture stored
+// (64-bit addresses, 32-bit lengths, a write byte per span): digests of the
+// decoded contents, recorded from the capture before packing, for every
+// golden workload under both cache routing policies.
+TEST(AccessStream, DecodedCaptureMatchesUnpackedDigests) {
+  struct Fnv {
+    u64 h = 0xcbf29ce484222325ull;
+    void mix(u64 v) {
+      for (int i = 0; i < 8; ++i) {
+        h ^= (v >> (8 * i)) & 0xff;
+        h *= 0x100000001b3ull;
+      }
+    }
+  };
+  auto digest = [](const AccessStream& s) {
+    Fnv f;
+    for (u64 v : {s.schedule_steps, s.prefix_steps, s.period_steps, s.period_count,
+                  s.suffix_steps, s.min_addr, s.max_addr, s.total_lines, u64{s.spans()}})
+      f.mix(v);
+    for (size_t i = 0; i < s.spans(); ++i) {
+      f.mix(s.addr(i));
+      f.mix(s.len(i));
+      f.mix(s.write(i) ? 1 : 0);
+    }
+    for (u32 e : s.op_end) f.mix(e);
+    return f.h;
+  };
+  struct Expected {
+    const char* workload;
+    const char* config;
+    u64 digest;
+  };
+  const Expected expected[] = {
+      {"cg", "Flex+LRU", 0x7249318197040a7bull},
+      {"cg", "SCORE+LRU", 0xe47f2214b0f34cf6ull},
+      {"gnn", "Flex+LRU", 0xf40fc51cfaec77cdull},
+      {"gnn", "SCORE+LRU", 0x504dcd1fa0673db7ull},
+      {"resnet", "Flex+LRU", 0xc51da61207ca70a6ull},
+      {"resnet", "SCORE+LRU", 0xa953db5bce36f2f8ull},
+      {"cg_fv1", "Flex+LRU", 0x3c231a0f6329c10aull},
+      {"cg_fv1", "SCORE+LRU", 0x0405c253fb0d1187ull},
+  };
+  const sparse::CsrMatrix fv1 = sparse::instantiate(sparse::dataset_by_name("fv1"));
+  const auto wls = golden_workloads(fv1);
+  const AcceleratorConfig arch;
+  size_t checked = 0;
+  for (const auto& wl : wls) {
+    for (const Expected& e : expected) {
+      if (wl.name != e.workload) continue;
+      const auto& config = ConfigRegistry::global().at(e.config);
+      const Simulator simulator(arch, wl.matrix);
+      const score::Schedule sched = simulator.make_schedule(wl.dag, config);
+      const AddressMap map = AddressMap::build(wl.dag);
+      const Router router(wl.dag, sched, config.schedule, config.allow_delayed_hold, arch);
+      const AccessStream s = AccessStream::capture(wl.dag, sched, map, wl.matrix, arch, router);
+      EXPECT_TRUE(s.packable) << wl.name << "/" << e.config;
+      EXPECT_EQ(s.offset.capacity(), s.spans()) << "lanes stored at exact size";
+      EXPECT_EQ(digest(s), e.digest) << wl.name << "/" << e.config;
+      ++checked;
+    }
+  }
+  EXPECT_EQ(checked, std::size(expected));
 }
 
 // Two captures of the same slot must be identical — fingerprint and every
@@ -166,9 +431,8 @@ TEST(AccessStream, CaptureIsDeterministic) {
   EXPECT_EQ(a.period_steps, b.period_steps);
   EXPECT_EQ(a.period_count, b.period_count);
   EXPECT_EQ(a.suffix_steps, b.suffix_steps);
-  EXPECT_EQ(a.addr, b.addr);
-  EXPECT_EQ(a.len, b.len);
-  EXPECT_EQ(a.write, b.write);
+  EXPECT_EQ(a.offset, b.offset);
+  EXPECT_EQ(a.len_write, b.len_write);
   EXPECT_EQ(a.op_end, b.op_end);
   EXPECT_EQ(a.min_addr, b.min_addr);
   EXPECT_EQ(a.max_addr, b.max_addr);

@@ -73,8 +73,13 @@ TEST(MultinodeSweep, GridCrossesFabricsBetweenWorkloadsAndConfigs) {
   EXPECT_THROW(sim::make_grid({"gnn:cora"}, {"Cello"}, multi), Error);
 }
 
+// The sweep replays cache cells and baselines from shared access streams;
+// the oracle is the direct Simulator::run multi-node path with replay
+// disabled, so the two sides share no servicing code.
 TEST(MultinodeSweep, SweepCellsMatchDirectSimulatorBitForBit) {
-  const SweepGrid grid = acceptance_grid();
+  const SweepGrid grid = sim::make_grid(
+      {"gnn:cora"}, {"Flexagon", "Cello", "Flex+LRU", "SCORE+BRRIP"}, AcceleratorConfig{},
+      acceptance_fabrics());
   const auto results = SweepRunner(/*threads=*/2).run_shard(grid, sim::plan_shard(grid, 1, 1));
   ASSERT_EQ(results.size(), grid.cells());
   const sim::Workload wl = sim::WorkloadRegistry::global().resolve("gnn:cora");
@@ -86,8 +91,10 @@ TEST(MultinodeSweep, SweepCellsMatchDirectSimulatorBitForBit) {
     arch.nodes = spec.nodes();
     arch.topology = spec.to_string();
     const sim::Simulator simulator(arch, wl.matrix.get());
+    setenv("CELLO_DISABLE_REPLAY", "1", 1);
     const sim::RunMetrics direct =
         simulator.run(*wl.dag, sim::ConfigRegistry::global().at(cell.config));
+    unsetenv("CELLO_DISABLE_REPLAY");
     const std::string ctx = cell.fabric + "/" + cell.config;
     EXPECT_EQ(dbits(direct.seconds), dbits(cell.metrics.seconds)) << ctx;
     EXPECT_EQ(direct.nodes, cell.metrics.nodes) << ctx;
@@ -121,8 +128,9 @@ TEST(MultinodeSweep, ScoreVsNaiveTrafficGapIsVisible) {
     // nodes even the routed byte-hops stay well under the naive byte count
     // (at 64 the per-hop inflation overtakes it — exactly the saturation the
     // busiest-link term is there to show).
-    if (cell.metrics.nodes <= 16)
+    if (cell.metrics.nodes <= 16) {
       EXPECT_LT(cell.metrics.noc_bytes, cell.metrics.naive_noc_bytes / 4) << cell.fabric;
+    }
   }
 }
 

@@ -63,16 +63,18 @@ TEST(BuildPartition, ShardKeepsIdsEdgesAndDividesExtents) {
     ASSERT_EQ(st.ranks.size(), t.ranks.size());
     for (size_t i = 0; i < t.ranks.size(); ++i) {
       EXPECT_EQ(st.ranks[i], t.ranks[i]) << t.name;
-      if (t.ranks[i] == "m")
+      if (t.ranks[i] == "m") {
         EXPECT_EQ(st.dims[i], ceil_div<i64>(t.dims[i], 4)) << t.name;
-      else
+      } else {
         EXPECT_EQ(st.dims[i], t.dims[i]) << t.name;
+      }
     }
   }
   // The adjacency is compressed and sharded on its row rank: nnz divides too.
   for (const auto& t : dag.tensors()) {
-    if (t.storage == ir::Storage::CompressedSparse && !t.ranks.empty() && t.ranks[0] == "m")
+    if (t.storage == ir::Storage::CompressedSparse && !t.ranks.empty() && t.ranks[0] == "m") {
       EXPECT_EQ(part.shard.tensor(t.id).nnz, ceil_div<i64>(t.nnz, 4)) << t.name;
+    }
   }
   // Op MAC counts shrink with the sharded rank.
   for (const auto& op : dag.ops())
