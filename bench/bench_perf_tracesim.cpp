@@ -22,6 +22,7 @@
 #include "sim/shard.hpp"
 #include "sim/simulator.hpp"
 #include "sim/sweep.hpp"
+#include "sim/workload_registry.hpp"
 #include "trace/trace.hpp"
 #include "workloads/cg.hpp"
 #include "workloads/resnet.hpp"
@@ -200,6 +201,28 @@ void BM_DagBuild(benchmark::State& state) {
   // Construction-only share of the row (the rest is destruction).
   state.counters["setup_ms"] =
       benchmark::Counter(iters > 0 ? build_seconds * 1e3 / static_cast<double>(iters) : 0);
+}
+
+// Cold resolve of the four gen= specs of the end-to-end Table IV grid
+// (e2ebench `table4`, seed 1): matrix generation + DAG build, the serial
+// setup phase every `cello_cli sweep` of that grid pays before its first cell.
+// A private registry's cache is cleared each iteration so nothing is reused.
+void BM_ResolveTable4(benchmark::State& state) {
+  const std::vector<std::string> specs = {
+      "cg:gen=fem,m=81920,nnz=327680,seed=1",
+      "bicgstab:gen=fem,m=4704,nnz=104756,seed=1",
+      "gnn:gen=graph,m=2708,nnz=9464,in=1433,out=7,seed=1",
+      "power:gen=circuit,m=150102,nnz=726674,seed=1",
+  };
+  const sim::WorkloadRegistry registry;
+  i64 nnz = 0;
+  for (auto _ : state) {
+    registry.clear_cache();
+    nnz = 0;
+    for (const auto& spec : specs) nnz += registry.resolve(spec).matrix->nnz();
+    benchmark::DoNotOptimize(nnz);
+  }
+  state.counters["nnz"] = benchmark::Counter(static_cast<double>(nnz));
 }
 
 // The 8-cell analytic CG grid with *fully shared* immutable setup — one
@@ -442,6 +465,7 @@ BENCHMARK(BM_SweepCgAnalyticShared)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_SweepCgAnalyticRebuild)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_SweepSharded)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_DagBuild)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_ResolveTable4)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_ReuseIndexShared)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_LlmDecodeFlexKv)->Arg(4)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_LlmDecodeFlexLru)->Arg(4)->Unit(benchmark::kMillisecond);

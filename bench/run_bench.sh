@@ -123,7 +123,7 @@ if cache_bound:
 # Per-category geomeans (time, and speedup where the baseline has the row):
 # one line per category so BENCH_*.json trajectories compare across PRs
 # without re-deriving them.  A row belongs to the first prefix that matches.
-CATEGORIES = ["Replay", "Sweep", "DagBuild", "ReuseIndex", "LlmDecode",
+CATEGORIES = ["Replay", "Sweep", "DagBuild", "Resolve", "ReuseIndex", "LlmDecode",
               "Multinode", "TraceOverhead", "Cg", "Resnet"]
 categories = {}
 for e in benchmarks:

@@ -3,6 +3,7 @@
 #include <cctype>
 #include <cerrno>
 #include <cstdlib>
+#include <limits>
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
@@ -41,6 +42,13 @@ i64 WorkloadParams::get_i64(const std::string& key, i64 fallback) {
   if (end == v.c_str() || *end != '\0' || errno != 0)
     bad_spec(spec_, "parameter '" + key + "' expects an integer, got '" + v + "'");
   return static_cast<i64>(parsed);
+}
+
+i64 WorkloadParams::get_positive(const std::string& key, i64 fallback) {
+  const i64 v = get_i64(key, fallback);
+  if (spec_.params.count(key) && v <= 0)
+    bad_spec(spec_, key + "= must be positive, got " + std::to_string(v));
+  return v;
 }
 
 std::string WorkloadParams::get_string(const std::string& key, std::string fallback) {
@@ -84,16 +92,13 @@ MatrixSource resolve_matrix(WorkloadParams& p, const char* default_dataset) {
   const std::string mm = p.get_string("mm", "");
   const std::string dataset = p.get_string("dataset", "");
   const std::string gen = p.get_string("gen", "");
-  const i64 m = p.get_i64("m", 0);
-  const i64 nnz = p.get_i64("nnz", 0);
+  const i64 m = p.get_positive("m", 0);
+  const i64 nnz = p.get_positive("nnz", 0);
   const i64 seed = p.get_i64("seed", 1);
   // Presence, not value, decides the mode: an explicit m=0 is an error, not
   // a silent fall-through to the default dataset.
   const bool has_m = p.spec().params.count("m") > 0;
   const bool has_nnz = p.spec().params.count("nnz") > 0;
-  if (has_m && m <= 0) bad_spec(p.spec(), "m= must be positive, got " + std::to_string(m));
-  if (has_nnz && nnz <= 0)
-    bad_spec(p.spec(), "nnz= must be positive, got " + std::to_string(nnz));
   const i64 default_nnz = 8 * m;  // shape-only / gen default occupancy
 
   const int sources = int(!mm.empty()) + int(!dataset.empty()) + int(!gen.empty());
@@ -115,16 +120,31 @@ MatrixSource resolve_matrix(WorkloadParams& p, const char* default_dataset) {
   if (!gen.empty()) {
     if (!has_m) bad_spec(p.spec(), "gen= needs m=<rows>");
     const i64 target = has_nnz ? nnz : default_nnz;
+    i64 max_nnz = std::numeric_limits<i64>::max();
+    if (gen == "circuit") {
+      max_nnz = sparse::circuit_max_nnz(m);
+    } else if (gen == "graph") {
+      max_nnz = sparse::powerlaw_graph_max_nnz(m);
+    } else if (gen != "fem") {
+      bad_spec(p.spec(), "unknown gen='" + gen + "' (fem | circuit | graph)");
+    }
+    const std::string nnz_text = has_nnz ? std::to_string(nnz)
+                                         : std::to_string(target) + " (default 8*m)";
+    if (target < m)
+      bad_spec(p.spec(), "nnz= " + nnz_text + " is below m= " + std::to_string(m) +
+                             " (gen= stores the full diagonal)");
+    if (target > max_nnz)
+      bad_spec(p.spec(), "nnz= " + nnz_text + " exceeds " + std::to_string(max_nnz) +
+                             ", the most gen=" + gen + " can reach with m= " +
+                             std::to_string(m));
     Rng rng(static_cast<u64>(seed));
     sparse::CsrMatrix built;
     if (gen == "fem") {
       built = sparse::make_fem_banded(m, target, rng);
     } else if (gen == "circuit") {
       built = sparse::make_circuit(m, target, rng);
-    } else if (gen == "graph") {
-      built = sparse::make_powerlaw_graph(m, target, rng);
     } else {
-      bad_spec(p.spec(), "unknown gen='" + gen + "' (fem | circuit | graph)");
+      built = sparse::make_powerlaw_graph(m, target, rng);
     }
     auto matrix = std::make_shared<sparse::CsrMatrix>(std::move(built));
     out.rows = matrix->rows();
@@ -159,10 +179,7 @@ std::shared_ptr<const ir::TensorDag> share(ir::TensorDag dag) {
 }
 
 Bytes word_bytes(WorkloadParams& p, i64 fallback) {
-  const i64 words = p.get_i64("words", fallback);
-  if (words <= 0)
-    bad_spec(p.spec(), "words= must be positive, got " + std::to_string(words));
-  return static_cast<Bytes>(words);
+  return static_cast<Bytes>(p.get_positive("words", fallback));
 }
 
 const std::vector<WorkloadParamDoc>& matrix_source_docs() {
@@ -199,8 +216,8 @@ WorkloadRegistry::WorkloadRegistry() {
          workloads::CgShape shape;
          shape.m = src.rows;
          shape.nnz = src.nnz;
-         shape.n = p.get_i64("n", 16);
-         shape.iterations = p.get_i64("iters", 10);
+         shape.n = p.get_positive("n", 16);
+         shape.iterations = p.get_positive("iters", 10);
          shape.word_bytes = word_bytes(p, 4);
          Workload w;
          w.dag = share(workloads::build_cg_dag(shape));
@@ -218,8 +235,8 @@ WorkloadRegistry::WorkloadRegistry() {
          workloads::BiCgStabShape shape;
          shape.m = src.rows;
          shape.nnz = src.nnz;
-         shape.n = p.get_i64("n", 1);
-         shape.iterations = p.get_i64("iters", 10);
+         shape.n = p.get_positive("n", 1);
+         shape.iterations = p.get_positive("iters", 10);
          shape.word_bytes = word_bytes(p, 4);
          Workload w;
          w.dag = share(workloads::build_bicgstab_dag(shape));
@@ -240,11 +257,11 @@ WorkloadRegistry::WorkloadRegistry() {
          workloads::GnnShape shape;
          shape.vertices = src.rows;
          shape.nnz = src.nnz;
-         shape.in_features = p.get_i64("in", has_features ? src.dataset->gnn_in_features : 64);
+         shape.in_features = p.get_positive("in", has_features ? src.dataset->gnn_in_features : 64);
          shape.out_features =
-             p.get_i64("out", has_features ? src.dataset->gnn_out_features : 16);
+             p.get_positive("out", has_features ? src.dataset->gnn_out_features : 16);
          shape.word_bytes = word_bytes(p, 4);
-         const i64 layers = p.get_i64("layers", 1);
+         const i64 layers = p.get_positive("layers", 1);
          Workload w;
          if (layers == 1) {
            // hidden= is deliberately NOT consumed here, so a single-layer
@@ -252,7 +269,7 @@ WorkloadRegistry::WorkloadRegistry() {
            w.dag = share(workloads::build_gnn_dag(shape));
          } else {
            w.dag = share(
-               workloads::build_gnn_multilayer_dag(shape, layers, p.get_i64("hidden", 64)));
+               workloads::build_gnn_multilayer_dag(shape, layers, p.get_positive("hidden", 64)));
          }
          w.matrix = src.matrix;
          return w;
@@ -266,7 +283,7 @@ WorkloadRegistry::WorkloadRegistry() {
          workloads::PowerIterShape shape;
          shape.m = src.rows;
          shape.nnz = src.nnz;
-         shape.iterations = p.get_i64("iters", 10);
+         shape.iterations = p.get_positive("iters", 10);
          shape.word_bytes = word_bytes(p, 4);
          Workload w;
          w.dag = share(workloads::build_power_iteration_dag(shape));
@@ -283,12 +300,12 @@ WorkloadRegistry::WorkloadRegistry() {
         {"words", "2", "bytes per word"}},
        [](WorkloadParams& p) {
          workloads::ResNetBlockShape shape;
-         shape.spatial = p.get_i64("spatial", shape.spatial);
-         shape.in_channels = p.get_i64("channels", shape.in_channels);
-         shape.bottleneck = p.get_i64("bottleneck", shape.bottleneck);
-         shape.kernel = p.get_i64("kernel", shape.kernel);
+         shape.spatial = p.get_positive("spatial", shape.spatial);
+         shape.in_channels = p.get_positive("channels", shape.in_channels);
+         shape.bottleneck = p.get_positive("bottleneck", shape.bottleneck);
+         shape.kernel = p.get_positive("kernel", shape.kernel);
          shape.word_bytes = word_bytes(p, 2);
-         const i64 blocks = p.get_i64("blocks", 1);
+         const i64 blocks = p.get_positive("blocks", 1);
          Workload w;
          w.dag = share(blocks == 1 ? workloads::build_resnet_block_dag(shape)
                                    : workloads::build_resnet_stack_dag(shape, blocks));
@@ -305,8 +322,8 @@ WorkloadRegistry::WorkloadRegistry() {
          workloads::SpmvShape shape;
          shape.m = src.rows;
          shape.nnz = src.nnz;
-         shape.n = p.get_i64("n", 1);
-         shape.iterations = p.get_i64("iters", 10);
+         shape.n = p.get_positive("n", 1);
+         shape.iterations = p.get_positive("iters", 10);
          shape.word_bytes = word_bytes(p, 4);
          Workload w;
          w.dag = share(workloads::build_spmv_dag(shape));
@@ -325,8 +342,8 @@ WorkloadRegistry::WorkloadRegistry() {
          workloads::SddmmShape shape;
          shape.rows = src.rows;
          shape.nnz = src.nnz;
-         shape.features = p.get_i64("d", 64);
-         shape.heads = p.get_i64("heads", 1);
+         shape.features = p.get_positive("d", 64);
+         shape.heads = p.get_positive("heads", 1);
          shape.word_bytes = word_bytes(p, 4);
          shape.with_spmm = p.get_i64("spmm", 1) != 0;
          Workload w;
@@ -346,13 +363,21 @@ WorkloadRegistry::WorkloadRegistry() {
         {"words", "2", "bytes per word"}},
        [](WorkloadParams& p) {
          workloads::LlmShape shape;
-         shape.layers = p.get_i64("layers", shape.layers);
-         shape.heads = p.get_i64("heads", shape.heads);
-         shape.d_model = p.get_i64("d_model", shape.d_model);
+         shape.layers = p.get_positive("layers", shape.layers);
+         shape.heads = p.get_positive("heads", shape.heads);
+         shape.d_model = p.get_positive("d_model", shape.d_model);
          shape.seq = p.get_i64("seq", shape.seq);
-         shape.decode_steps = p.get_i64("decode_steps", shape.decode_steps);
-         shape.d_ff = p.get_i64("d_ff", 0);
-         shape.gqa = p.get_i64("gqa", 0);
+         if (shape.seq < 0)
+           bad_spec(p.spec(), "seq= must be non-negative, got " + std::to_string(shape.seq));
+         shape.decode_steps = p.get_positive("decode_steps", shape.decode_steps);
+         shape.d_ff = p.get_positive("d_ff", 0);
+         shape.gqa = p.get_positive("gqa", 0);
+         if (shape.d_model % shape.heads != 0)
+           bad_spec(p.spec(), "d_model= " + std::to_string(shape.d_model) +
+                                  " must be a multiple of heads= " + std::to_string(shape.heads));
+         if (shape.gqa > 0 && shape.heads % shape.gqa != 0)
+           bad_spec(p.spec(), "gqa= " + std::to_string(shape.gqa) + " must divide heads= " +
+                                  std::to_string(shape.heads));
          shape.word_bytes = word_bytes(p, 2);
          Workload w;
          w.dag = share(workloads::build_llm_decode_dag(shape));

@@ -59,6 +59,10 @@ class WorkloadParams {
 
   /// Integer parameter; throws cello::Error on a malformed number.
   i64 get_i64(const std::string& key, i64 fallback);
+  /// Integer parameter that must be >= 1 when the spec gives it (a fallback
+  /// is returned unchecked, so 0 can stand for "derive a default"); throws
+  /// cello::Error naming the key otherwise.
+  i64 get_positive(const std::string& key, i64 fallback);
   std::string get_string(const std::string& key, std::string fallback);
 
   const WorkloadSpec& spec() const { return spec_; }

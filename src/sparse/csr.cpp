@@ -6,32 +6,79 @@
 
 namespace cello::sparse {
 
+namespace {
+
+/// One stored entry while its row is being sorted: column and value side by
+/// side, so the scatter touches one cache line per entry instead of two.
+struct RowEntry {
+  i64 col;
+  double value;
+};
+
+/// Rows up to this length are sorted by insertion (they are short and nearly
+/// sorted in every generator); longer rows go to std::stable_sort.
+constexpr i64 kInsertionSortMaxRow = 32;
+
+/// Stable sort of one row's entries by column.
+void sort_row(RowEntry* first, RowEntry* last) {
+  if (last - first > kInsertionSortMaxRow) {
+    std::stable_sort(first, last, [](const RowEntry& a, const RowEntry& b) { return a.col < b.col; });
+    return;
+  }
+  for (RowEntry* it = first + 1; it < last; ++it) {
+    const RowEntry e = *it;
+    RowEntry* hole = it;
+    for (; hole > first && (hole - 1)->col > e.col; --hole) *hole = *(hole - 1);
+    *hole = e;
+  }
+}
+
+}  // namespace
+
 CsrMatrix CsrMatrix::from_triplets(i64 rows, i64 cols, std::vector<Triplet> entries) {
+  CsrMatrix m(rows, cols);
+  // Count per row into row_ptr_[r + 1], then turn the counts into row starts
+  // shifted by one slot: row_ptr_[r + 1] = start of row r.  The scatter below
+  // advances each as its row's cursor, leaving row_ptr_[r + 1] = end of row r.
   for (const auto& t : entries) {
     CELLO_CHECK_MSG(t.row >= 0 && t.row < rows, "triplet row out of range: " << t.row);
     CELLO_CHECK_MSG(t.col >= 0 && t.col < cols, "triplet col out of range: " << t.col);
+    ++m.row_ptr_[t.row + 1];
   }
-  std::sort(entries.begin(), entries.end(), [](const Triplet& a, const Triplet& b) {
-    return a.row != b.row ? a.row < b.row : a.col < b.col;
-  });
+  i64 start = 0;
+  for (i64 r = 0; r < rows; ++r) {
+    const i64 count = m.row_ptr_[r + 1];
+    m.row_ptr_[r + 1] = start;
+    start += count;
+  }
+  std::vector<RowEntry> placed(entries.size());
+  for (const auto& t : entries) placed[m.row_ptr_[t.row + 1]++] = {t.col, t.value};
+  std::vector<Triplet>().swap(entries);
 
-  CsrMatrix m(rows, cols);
-  m.col_idx_.reserve(entries.size());
-  m.values_.reserve(entries.size());
-  for (size_t i = 0; i < entries.size();) {
-    size_t j = i;
-    double sum = 0.0;
-    while (j < entries.size() && entries[j].row == entries[i].row &&
-           entries[j].col == entries[i].col) {
-      sum += entries[j].value;
-      ++j;
+  // Sort each row by column, then fold equal columns into their first entry
+  // (the stable sort keeps input order, so sums run left to right) while
+  // compacting the rows leftward.
+  i64 out = 0;
+  i64 row_begin = 0;
+  for (i64 r = 0; r < rows; ++r) {
+    const i64 row_end = m.row_ptr_[r + 1];
+    sort_row(placed.data() + row_begin, placed.data() + row_end);
+    const i64 row_out = out;
+    for (i64 k = row_begin; k < row_end; ++k) {
+      if (out > row_out && placed[out - 1].col == placed[k].col)
+        placed[out - 1].value += placed[k].value;
+      else
+        placed[out++] = placed[k];
     }
-    m.col_idx_.push_back(entries[i].col);
-    m.values_.push_back(sum);
-    ++m.row_ptr_[entries[i].row + 1];
-    i = j;
+    m.row_ptr_[r + 1] = out;
+    row_begin = row_end;
   }
-  for (i64 r = 0; r < rows; ++r) m.row_ptr_[r + 1] += m.row_ptr_[r];
+  m.col_idx_.resize(out);
+  m.values_.resize(out);
+  for (i64 k = 0; k < out; ++k) {
+    m.col_idx_[k] = placed[k].col;
+    m.values_[k] = placed[k].value;
+  }
   return m;
 }
 

@@ -8,6 +8,10 @@
 
 #include "common/types.hpp"
 
+namespace cello {
+class Rng;
+}  // namespace cello
+
 namespace cello::sparse {
 
 /// One coordinate-format entry used while assembling a matrix.
@@ -22,7 +26,18 @@ class CsrMatrix {
   CsrMatrix() = default;
   CsrMatrix(i64 rows, i64 cols) : rows_(rows), cols_(cols), row_ptr_(rows + 1, 0) {}
 
-  /// Build from triplets; duplicate coordinates are summed.
+  /// Build from triplets in any order; duplicate coordinates are summed.
+  ///
+  /// Assembly is a counting sort: one pass range-checks the entries and
+  /// counts them per row, a stable scatter places them into their rows, and
+  /// each row is then sorted stably by column (insertion sort for short
+  /// rows, std::stable_sort for long ones).  That is O(nnz + rows) for the
+  /// near-sorted short rows every generator produces, plus O(r log r) for a
+  /// long row of r entries.  Duplicates of one coordinate are summed left to
+  /// right in input order, so the result is a pure function of the triplet
+  /// sequence.  The triplets are released right after the scatter, so peak
+  /// memory is the triplet vector plus 16 B per entry.  Throws cello::Error
+  /// on an out-of-range index.
   static CsrMatrix from_triplets(i64 rows, i64 cols, std::vector<Triplet> entries);
 
   i64 rows() const { return rows_; }
@@ -53,6 +68,11 @@ class CsrMatrix {
   void validate() const;
 
  private:
+  // Generators that only change values of an already-sorted matrix (row
+  // normalization, diagonal lift) write the arrays directly: no reassembly.
+  friend CsrMatrix diagonally_dominant(const CsrMatrix& a, double margin);
+  friend CsrMatrix make_powerlaw_graph(i64 n, i64 target_nnz, Rng& rng);
+
   i64 rows_ = 0;
   i64 cols_ = 0;
   std::vector<i64> row_ptr_;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <set>
 
 #include "common/error.hpp"
@@ -19,8 +20,18 @@ void symmetrize(std::vector<Triplet>& ts) {
 
 }  // namespace
 
+i64 circuit_max_nnz(i64 n) {
+  return n == 1 ? 2 : std::numeric_limits<i64>::max();
+}
+
+i64 powerlaw_graph_max_nnz(i64 n) {
+  // n * n overflows past floor(sqrt(2^63 - 1)); no target can exceed that.
+  return n > 3037000499 ? std::numeric_limits<i64>::max() : n * n + 1;
+}
+
 CsrMatrix make_fem_banded(i64 n, i64 target_nnz, Rng& rng) {
-  CELLO_CHECK(n > 0 && target_nnz >= n);
+  CELLO_CHECK_MSG(n > 0 && target_nnz >= n, "make_fem_banded needs 1 <= n <= target_nnz, got n="
+                                                 << n << " target_nnz=" << target_nnz);
   // Average off-diagonal band width that hits the nnz target: nnz ~ n * (1 + 2*halfband_used)
   const i64 per_row = std::max<i64>(1, target_nnz / n);
   const i64 half = std::max<i64>(1, (per_row - 1) / 2);
@@ -53,7 +64,9 @@ CsrMatrix make_fem_banded(i64 n, i64 target_nnz, Rng& rng) {
 }
 
 CsrMatrix make_circuit(i64 n, i64 target_nnz, Rng& rng) {
-  CELLO_CHECK(n > 0 && target_nnz >= n);
+  CELLO_CHECK_MSG(n > 0 && target_nnz >= n && target_nnz <= circuit_max_nnz(n),
+                  "make_circuit needs 1 <= n <= target_nnz <= "
+                      << circuit_max_nnz(n) << ", got n=" << n << " target_nnz=" << target_nnz);
   std::vector<Triplet> ts;
   ts.reserve(static_cast<size_t>(target_nnz) + n);
   for (i64 r = 0; r < n; ++r) ts.push_back({r, r, 2.0});
@@ -79,7 +92,10 @@ CsrMatrix make_circuit(i64 n, i64 target_nnz, Rng& rng) {
 }
 
 CsrMatrix make_powerlaw_graph(i64 n, i64 target_nnz, Rng& rng) {
-  CELLO_CHECK(n > 0 && target_nnz >= n);
+  CELLO_CHECK_MSG(n > 0 && target_nnz >= n && target_nnz <= powerlaw_graph_max_nnz(n),
+                  "make_powerlaw_graph needs 1 <= n <= target_nnz <= "
+                      << powerlaw_graph_max_nnz(n) << ", got n=" << n
+                      << " target_nnz=" << target_nnz);
   std::vector<Triplet> ts;
   for (i64 r = 0; r < n; ++r) ts.push_back({r, r, 1.0});  // self loops (A + I)
   const i64 edges = std::max<i64>(0, (target_nnz - n)) / 2;
@@ -100,35 +116,52 @@ CsrMatrix make_powerlaw_graph(i64 n, i64 target_nnz, Rng& rng) {
   }
   // Row-normalize (random-walk normalization used by GCN pipelines).
   auto m = CsrMatrix::from_triplets(n, n, std::move(ts));
-  std::vector<Triplet> norm;
-  norm.reserve(static_cast<size_t>(m.nnz()));
   for (i64 r = 0; r < n; ++r) {
     const double deg = static_cast<double>(m.row_nnz(r));
-    for (i64 k = m.row_ptr()[r]; k < m.row_ptr()[r + 1]; ++k)
-      norm.push_back({r, m.col_idx()[k], m.values()[k] / deg});
+    for (i64 k = m.row_ptr_[r]; k < m.row_ptr_[r + 1]; ++k) m.values_[k] /= deg;
   }
-  return CsrMatrix::from_triplets(n, n, std::move(norm));
+  return m;
 }
 
 CsrMatrix diagonally_dominant(const CsrMatrix& a, double margin) {
-  std::vector<Triplet> ts;
-  ts.reserve(static_cast<size_t>(a.nnz()) + a.rows());
-  std::vector<double> rowsum(a.rows(), 0.0);
-  std::vector<bool> has_diag(a.rows(), false);
-  for (i64 r = 0; r < a.rows(); ++r) {
-    for (i64 k = a.row_ptr()[r]; k < a.row_ptr()[r + 1]; ++k) {
-      const i64 c = a.col_idx()[k];
-      const double v = a.values()[k];
-      if (c == r) {
-        has_diag[r] = true;
-        continue;  // replaced below
+  const i64 rows = a.rows();
+  CELLO_CHECK_MSG(rows <= a.cols(), "diagonally_dominant needs rows <= cols, got "
+                                        << rows << "x" << a.cols());
+  // Walk the sorted rows once to size the result exactly, once to fill it:
+  // every stored diagonal is replaced by the lifted one, and rows without a
+  // diagonal gain one at its sorted position.
+  i64 stored_diag = 0;
+  for (i64 r = 0; r < rows; ++r)
+    for (i64 k = a.row_ptr_[r]; k < a.row_ptr_[r + 1]; ++k) stored_diag += a.col_idx_[k] == r;
+  CsrMatrix out(rows, a.cols());
+  const size_t out_nnz = static_cast<size_t>(a.nnz() - stored_diag + rows);
+  out.col_idx_.reserve(out_nnz);
+  out.values_.reserve(out_nnz);
+  for (i64 r = 0; r < rows; ++r) {
+    const i64 begin = a.row_ptr_[r];
+    const i64 end = a.row_ptr_[r + 1];
+    double rowsum = 0.0;
+    for (i64 k = begin; k < end; ++k)
+      if (a.col_idx_[k] != r) rowsum += std::abs(a.values_[k]);
+    bool placed = false;
+    for (i64 k = begin; k < end; ++k) {
+      const i64 c = a.col_idx_[k];
+      if (c == r) continue;
+      if (!placed && c > r) {
+        out.col_idx_.push_back(r);
+        out.values_.push_back(rowsum + margin);
+        placed = true;
       }
-      rowsum[r] += std::abs(v);
-      ts.push_back({r, c, v});
+      out.col_idx_.push_back(c);
+      out.values_.push_back(a.values_[k]);
     }
+    if (!placed) {
+      out.col_idx_.push_back(r);
+      out.values_.push_back(rowsum + margin);
+    }
+    out.row_ptr_[r + 1] = static_cast<i64>(out.col_idx_.size());
   }
-  for (i64 r = 0; r < a.rows(); ++r) ts.push_back({r, r, rowsum[r] + margin});
-  return CsrMatrix::from_triplets(a.rows(), a.cols(), std::move(ts));
+  return out;
 }
 
 }  // namespace cello::sparse

@@ -6,6 +6,13 @@
 // statistics* (rows, nnz, occupancy profile) — the quantities that determine
 // traffic and reuse in the simulator.  See DESIGN.md §2 for the substitution
 // rationale.
+//
+// Accepted sizes: every generator needs 1 <= n <= target_nnz, and those that
+// must sample off-diagonal or distinct coordinates cap target_nnz at what n
+// rows can hold (circuit_max_nnz / powerlaw_graph_max_nnz).  A request
+// outside the range throws cello::Error instead of sampling forever.
+// target_nnz is a target, not a guarantee: colliding random couplings are
+// merged, so fem/circuit matrices can store slightly fewer entries.
 #pragma once
 
 #include "common/rng.hpp"
@@ -15,15 +22,28 @@ namespace cello::sparse {
 
 /// FEM-style banded matrix (stencil neighbourhoods): symmetric positive
 /// definite, ~target_nnz stored entries, diagonally dominant so CG converges.
+/// Accepts any target_nnz >= n (random couplings may repeat; with n <= 2 the
+/// matrix holds only the diagonal and band).
 CsrMatrix make_fem_banded(i64 n, i64 target_nnz, Rng& rng);
 
 /// Circuit-simulation style: strong diagonal plus sparse random off-diagonal
 /// couplings (irregular row occupancy), SPD-ified by diagonal dominance.
+/// Accepts n <= target_nnz <= circuit_max_nnz(n).
 CsrMatrix make_circuit(i64 n, i64 target_nnz, Rng& rng);
+
+/// Largest target_nnz make_circuit accepts: unbounded (couplings may repeat)
+/// for n >= 2, and 2 for n == 1, whose only entry is the diagonal.
+i64 circuit_max_nnz(i64 n);
 
 /// Power-law (graph adjacency) pattern for GNN datasets; returns the
 /// normalized adjacency with self loops (A_hat = A + I, row-normalized).
+/// Accepts n <= target_nnz <= powerlaw_graph_max_nnz(n).
 CsrMatrix make_powerlaw_graph(i64 n, i64 target_nnz, Rng& rng);
+
+/// Largest target_nnz make_powerlaw_graph accepts: the graph asks for
+/// (target_nnz - n) / 2 distinct undirected edges, at most n(n-1)/2 of which
+/// exist, so the bound is n * n + 1.
+i64 powerlaw_graph_max_nnz(i64 n);
 
 /// Make any square matrix strictly diagonally dominant (hence SPD when
 /// symmetrized) by lifting its diagonal; used by tests and solvers.

@@ -2,8 +2,11 @@
 // (parameterized over the Table VI datasets) and Matrix Market I/O.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <sstream>
+#include <string>
 
 #include "common/error.hpp"
 #include "sparse/csr.hpp"
@@ -32,6 +35,99 @@ TEST(Csr, FromTripletsSortsAndSumsDuplicates) {
 TEST(Csr, RejectsOutOfRangeTriplets) {
   EXPECT_THROW(CsrMatrix::from_triplets(2, 2, {{2, 0, 1.0}}), Error);
   EXPECT_THROW(CsrMatrix::from_triplets(2, 2, {{0, -1, 1.0}}), Error);
+  EXPECT_THROW(CsrMatrix::from_triplets(2, 2, {{-1, 0, 1.0}}), Error);
+  EXPECT_THROW(CsrMatrix::from_triplets(2, 2, {{0, 2, 1.0}}), Error);
+  // A bad entry after good ones is still caught.
+  EXPECT_THROW(CsrMatrix::from_triplets(2, 2, {{0, 0, 1.0}, {1, 1, 1.0}, {1, 5, 1.0}}), Error);
+  EXPECT_THROW(CsrMatrix::from_triplets(0, 0, {{0, 0, 1.0}}), Error);
+}
+
+TEST(Csr, FromTripletsSortsUnsortedRows) {
+  const auto m =
+      CsrMatrix::from_triplets(2, 5, {{1, 4, 1.0}, {0, 3, 2.0}, {1, 0, 3.0}, {0, 1, 4.0},
+                                      {1, 2, 5.0}, {0, 4, 6.0}});
+  m.validate();
+  EXPECT_EQ(std::vector<i64>(m.row_ptr().begin(), m.row_ptr().end()),
+            (std::vector<i64>{0, 3, 6}));
+  EXPECT_EQ(std::vector<i64>(m.col_idx().begin(), m.col_idx().end()),
+            (std::vector<i64>{1, 3, 4, 0, 2, 4}));
+  EXPECT_EQ(std::vector<double>(m.values().begin(), m.values().end()),
+            (std::vector<double>{4.0, 2.0, 6.0, 3.0, 5.0, 1.0}));
+}
+
+TEST(Csr, FromTripletsKeepsEmptyRows) {
+  const auto m = CsrMatrix::from_triplets(6, 3, {{4, 2, 1.0}, {1, 0, 2.0}, {4, 0, 3.0}});
+  m.validate();
+  EXPECT_EQ(std::vector<i64>(m.row_ptr().begin(), m.row_ptr().end()),
+            (std::vector<i64>{0, 0, 1, 1, 1, 3, 3}));
+  EXPECT_EQ(m.row_nnz(5), 0);
+  EXPECT_EQ(CsrMatrix::from_triplets(3, 3, {}).nnz(), 0);
+  EXPECT_EQ(CsrMatrix::from_triplets(3, 3, {}).row_ptr().size(), 4u);
+}
+
+TEST(Csr, FromTripletsSumsDuplicatesInInputOrder) {
+  // 1e16 + 1 rounds back to 1e16, so these sums depend on their order:
+  // {1e16, 1, -1e16} gives 0 left to right, but 1 with -1e16 first.
+  const auto m = CsrMatrix::from_triplets(
+      2, 2, {{0, 1, 1e16}, {1, 0, 7.0}, {0, 1, 1.0}, {0, 0, 2.0}, {0, 1, -1e16}, {0, 1, 1.0}});
+  m.validate();
+  ASSERT_EQ(m.nnz(), 3);
+  EXPECT_EQ(m.col_idx()[1], 1);
+  EXPECT_EQ(m.values()[1], 1.0);  // ((1e16 + 1) - 1e16) + 1
+  const auto n = CsrMatrix::from_triplets(1, 1, {{0, 0, 1e16}, {0, 0, 1.0}, {0, 0, -1e16}});
+  EXPECT_EQ(n.values()[0], 0.0);
+  const auto rev = CsrMatrix::from_triplets(1, 1, {{0, 0, -1e16}, {0, 0, 1e16}, {0, 0, 1.0}});
+  EXPECT_EQ(rev.values()[0], 1.0);
+}
+
+TEST(Csr, FromTripletsSortsRowsLongerThanTheInsertionCutoff) {
+  // One 400-entry row (100 columns x 4 copies) in shuffled order, with
+  // values spread over 17 decades so that summing a column's copies in any
+  // order but the input order almost surely rounds differently: exercises the
+  // stable_sort path's ordering and its stability.
+  Rng rng(11);
+  std::vector<Triplet> ts;
+  for (int copy = 0; copy < 4; ++copy)
+    for (i64 c = 0; c < 100; ++c) {
+      const double scale = std::pow(10.0, static_cast<double>(rng.bounded(17)) - 8.0);
+      ts.push_back({1, c, (rng.uniform() - 0.5) * scale});
+    }
+  for (size_t i = ts.size() - 1; i > 0; --i)
+    std::swap(ts[i], ts[rng.bounded(static_cast<u64>(i + 1))]);
+  ts.push_back({0, 3, 9.0});
+  std::vector<double> expected(100, 0.0);
+  std::vector<bool> seen(100, false);
+  for (const auto& t : ts) {
+    if (t.row != 1) continue;
+    expected[t.col] = seen[t.col] ? expected[t.col] + t.value : t.value;
+    seen[t.col] = true;
+  }
+  const auto m = CsrMatrix::from_triplets(3, 100, ts);
+  m.validate();
+  ASSERT_EQ(m.row_nnz(1), 100);
+  EXPECT_EQ(m.row_nnz(0), 1);
+  EXPECT_EQ(m.row_nnz(2), 0);
+  for (i64 c = 0; c < 100; ++c) {
+    const i64 k = m.row_ptr()[1] + c;
+    EXPECT_EQ(m.col_idx()[k], c);
+    EXPECT_EQ(m.values()[k], expected[c]) << "column " << c;
+  }
+}
+
+TEST(Csr, DiagonallyDominantLiftsOrInsertsTheDiagonal) {
+  // Row 0 has a stored diagonal, row 1 has none (its diagonal is inserted
+  // between columns 0 and 2), row 2 is empty.
+  const auto a = CsrMatrix::from_triplets(
+      3, 3, {{0, 0, 100.0}, {0, 2, -2.0}, {1, 2, 3.0}, {1, 0, -1.5}});
+  const auto d = sparse::diagonally_dominant(a, 0.25);
+  d.validate();
+  EXPECT_EQ(std::vector<i64>(d.row_ptr().begin(), d.row_ptr().end()),
+            (std::vector<i64>{0, 2, 5, 6}));
+  EXPECT_EQ(std::vector<i64>(d.col_idx().begin(), d.col_idx().end()),
+            (std::vector<i64>{0, 2, 0, 1, 2, 2}));
+  EXPECT_EQ(std::vector<double>(d.values().begin(), d.values().end()),
+            (std::vector<double>{2.25, -2.0, -1.5, 4.75, 3.0, 0.25}));
+  EXPECT_THROW(sparse::diagonally_dominant(CsrMatrix::from_triplets(3, 2, {})), Error);
 }
 
 TEST(Csr, TransposeRoundTrip) {
@@ -129,6 +225,83 @@ TEST(Generators, PowerLawGraphRowsAreNormalized) {
     double s = 0;
     for (i64 k = m.row_ptr()[r]; k < m.row_ptr()[r + 1]; ++k) s += m.values()[k];
     EXPECT_NEAR(s, 1.0, 1e-9) << "row " << r;
+  }
+}
+
+TEST(Generators, RejectTargetsTheyCannotReach) {
+  Rng rng(1);
+  // Without the range checks the first two would sample forever.
+  EXPECT_THROW(sparse::make_powerlaw_graph(4, 100, rng), Error);
+  EXPECT_THROW(sparse::make_circuit(1, 3, rng), Error);
+  EXPECT_THROW(sparse::make_fem_banded(10, 9, rng), Error);
+  EXPECT_THROW(sparse::make_circuit(0, 0, rng), Error);
+  EXPECT_EQ(sparse::powerlaw_graph_max_nnz(4), 17);
+  EXPECT_EQ(sparse::circuit_max_nnz(1), 2);
+  // The bound is reachable: every edge of K4 plus the self loops.
+  EXPECT_EQ(sparse::make_powerlaw_graph(4, 17, rng).nnz(), 16);
+  EXPECT_EQ(sparse::make_circuit(1, 2, rng).nnz(), 1);
+}
+
+// ---- bit-exact generator pins ---------------------------------------------
+
+/// FNV-1a over row_ptr, col_idx and the value bits, each as 8 little-endian
+/// bytes.
+u64 csr_digest(const CsrMatrix& m) {
+  u64 h = 0xcbf29ce484222325ull;
+  auto mix = [&h](u64 word) {
+    for (int b = 0; b < 8; ++b) {
+      h ^= (word >> (8 * b)) & 0xff;
+      h *= 0x100000001b3ull;
+    }
+  };
+  for (const i64 v : m.row_ptr()) mix(static_cast<u64>(v));
+  for (const i64 v : m.col_idx()) mix(static_cast<u64>(v));
+  for (const double v : m.values()) {
+    u64 bits = 0;
+    std::memcpy(&bits, &v, sizeof bits);
+    mix(bits);
+  }
+  return h;
+}
+
+// Recorded from the comparison-sort assembly these generators used before
+// the counting-sort rewrite; any change to generation or assembly order that
+// moves a single bit fails here.
+TEST(GeneratorPins, Table6DatasetsAreBitExact) {
+  const std::vector<std::pair<std::string, u64>> pins = {
+      {"fv1", 0xa7547229498072baull},        {"shallow_water1", 0x9f33bcf2124cd0e2ull},
+      {"G2_circuit", 0x8941ceb09f6ecc63ull}, {"nasa4704", 0xa66dd49545d2fdbdull},
+      {"cora", 0xecf1098a3a155a5aull},       {"protein", 0x0e11e6333fc4a4f6ull},
+  };
+  ASSERT_EQ(pins.size(), sparse::table6_datasets().size());
+  for (const auto& [name, digest] : pins)
+    EXPECT_EQ(csr_digest(sparse::instantiate(sparse::dataset_by_name(name))), digest) << name;
+}
+
+TEST(GeneratorPins, Table4GenSpecsAreBitExact) {
+  // The four gen= matrices of the Table IV end-to-end grid at seeds 1 and 2.
+  struct Pin {
+    const char* gen;
+    i64 m, nnz;
+    u64 seed, digest;
+  };
+  const Pin pins[] = {
+      {"fem", 81920, 327680, 1, 0x25f6767f640aeb91ull},
+      {"fem", 4704, 104756, 1, 0x2e3121e70d9f63a7ull},
+      {"graph", 2708, 9464, 1, 0xb0cbe29c5f3386f1ull},
+      {"circuit", 150102, 726674, 1, 0x5bfed559a6282c7bull},
+      {"fem", 81920, 327680, 2, 0x27f939274eefd3f1ull},
+      {"fem", 4704, 104756, 2, 0x18797963b23bf690ull},
+      {"graph", 2708, 9464, 2, 0x10c8084acc01ca40ull},
+      {"circuit", 150102, 726674, 2, 0x28d8a974945229e3ull},
+  };
+  for (const Pin& p : pins) {
+    Rng rng(p.seed);
+    const std::string gen = p.gen;
+    const CsrMatrix m = gen == "fem"       ? sparse::make_fem_banded(p.m, p.nnz, rng)
+                        : gen == "circuit" ? sparse::make_circuit(p.m, p.nnz, rng)
+                                           : sparse::make_powerlaw_graph(p.m, p.nnz, rng);
+    EXPECT_EQ(csr_digest(m), p.digest) << gen << " m=" << p.m << " seed=" << p.seed;
   }
 }
 

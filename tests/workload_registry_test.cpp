@@ -115,6 +115,59 @@ TEST(WorkloadRegistry, MalformedParameterValueThrows) {
   EXPECT_THROW(WorkloadRegistry::global().resolve("spmv:gen=fem,m=100,nnz=0"), Error);
 }
 
+/// Resolves `spec`, expecting a spec error (not a CELLO_CHECK failure) whose
+/// message contains `needle`.
+void expect_spec_error(const std::string& spec, const std::string& needle) {
+  try {
+    WorkloadRegistry::global().resolve(spec);
+    ADD_FAILURE() << spec << ": expected Error";
+  } catch (const Error& e) {
+    const std::string msg = e.what();
+    EXPECT_NE(msg.find("workload spec '"), std::string::npos) << spec << ": " << msg;
+    EXPECT_NE(msg.find(needle), std::string::npos) << spec << ": " << msg;
+    EXPECT_EQ(msg.find("CELLO_CHECK"), std::string::npos) << spec << ": " << msg;
+  }
+}
+
+TEST(WorkloadRegistry, NonPositiveShapeParametersNameTheKey) {
+  for (const char* key : {"n", "iters"}) {
+    for (const char* value : {"0", "-3"}) {
+      for (const char* kind : {"cg", "bicgstab", "spmv"})
+        expect_spec_error(std::string(kind) + ":m=64," + key + "=" + value,
+                          std::string(key) + "= must be positive");
+    }
+  }
+  expect_spec_error("power:m=64,iters=0", "iters= must be positive");
+  for (const char* key : {"in", "out", "layers"})
+    expect_spec_error(std::string("gnn:m=64,") + key + "=0", std::string(key) + "= must be positive");
+  expect_spec_error("gnn:m=64,layers=2,hidden=0", "hidden= must be positive");
+  for (const char* key : {"d", "heads"})
+    expect_spec_error(std::string("sddmm:m=64,") + key + "=0",
+                      std::string(key) + "= must be positive");
+  for (const char* key : {"spatial", "channels", "bottleneck", "kernel", "blocks"})
+    expect_spec_error(std::string("resnet:") + key + "=0", std::string(key) + "= must be positive");
+  for (const char* key : {"layers", "heads", "d_model", "decode_steps", "d_ff", "gqa", "words"})
+    expect_spec_error(std::string("llm:") + key + "=0", std::string(key) + "= must be positive");
+  expect_spec_error("llm:seq=-1", "seq= must be non-negative");
+  expect_spec_error("llm:heads=8,d_model=500", "d_model= 500 must be a multiple of heads= 8");
+  expect_spec_error("llm:heads=8,gqa=3", "gqa= 3 must divide heads= 8");
+  // Zero stays valid where it means something: an empty prefill context.
+  EXPECT_NO_THROW(WorkloadRegistry::global().resolve("llm:seq=0"));
+}
+
+TEST(WorkloadRegistry, GeneratorNnzOutsideItsRangeIsASpecError) {
+  // Both used to sample forever: 4 vertices hold at most 6 distinct edges
+  // (nnz <= 17), and a 1-row circuit has no off-diagonal slot (nnz <= 2).
+  expect_spec_error("gnn:gen=graph,m=4,nnz=100", "nnz= 100 exceeds 17");
+  expect_spec_error("cg:gen=circuit,m=1,nnz=3", "nnz= 3 exceeds 2");
+  // The 8*m default counts too, and is named as such.
+  expect_spec_error("gnn:gen=graph,m=4", "nnz= 32 (default 8*m) exceeds 17");
+  expect_spec_error("cg:gen=fem,m=100,nnz=50", "nnz= 50 is below m= 100");
+  // The bounds themselves are reachable.
+  EXPECT_EQ(WorkloadRegistry::global().resolve("gnn:gen=graph,m=4,nnz=17").matrix->nnz(), 16);
+  EXPECT_EQ(WorkloadRegistry::global().resolve("cg:gen=circuit,m=1,nnz=2").matrix->nnz(), 1);
+}
+
 TEST(WorkloadRegistry, ConflictingMatrixSourcesThrow) {
   EXPECT_THROW(WorkloadRegistry::global().resolve("cg:dataset=fv1,mm=a.mtx"), Error);
   EXPECT_THROW(WorkloadRegistry::global().resolve("cg:dataset=fv1,m=100"), Error);
