@@ -403,9 +403,13 @@ void BM_ReplayMany(benchmark::State& state) {
 // where partition + routing ride on top of a now-smaller per-node run);
 // BM_MultinodeCgScaling pins a whole {1,4,16,64}-node fabric-axis column
 // through run_shard — the wall time of one scale-out sweep row per config,
-// including the shared 1-node baselines and per-fabric partition cache.
+// including the per-node-count partition cache; the `1` cell's run doubles
+// as every multi-node cell's 1-node baseline.
 // BM_MultinodeCgScalingCache is the same column under two cache presets:
-// shard cells and baselines replay shared access streams.
+// shard and full-DAG runs replay shared access streams.
+// BM_MultinodeCgFabricGrid crosses that column with {mesh,torus}: fabrics
+// with equal node counts fold one shared shard run, so the torus half costs
+// folds, not simulations.
 
 const sim::Workload& gnn_workload() {
   static const sim::Workload wl = sim::WorkloadRegistry::global().resolve("gnn:cora");
@@ -452,6 +456,19 @@ void BM_MultinodeCgScalingCache(benchmark::State& state) {
   }
 }
 
+void BM_MultinodeCgFabricGrid(benchmark::State& state) {
+  const auto arch = bench::table5_config(1e12, 4ull * 1024 * 1024);
+  const std::vector<std::string> fabrics = {"1",         "mesh:2x2", "torus:2x2", "mesh:4x4",
+                                            "torus:4x4", "mesh:8x8", "torus:8x8"};
+  const sim::SweepGrid grid =
+      sim::make_grid({"cg:iters=10,n=16"}, {"Flex+LRU", "SCORE+BRRIP"}, arch, fabrics);
+  const sim::SweepRunner runner(/*threads=*/1);
+  for (auto _ : state) {
+    const auto cells = runner.run_shard(grid, sim::plan_shard(grid, 1, 1));
+    benchmark::DoNotOptimize(cells.back().metrics.dram_bytes);
+  }
+}
+
 }  // namespace
 
 // SRAM capacity in MiB — the Fig. 16(b) sweep points.
@@ -479,5 +496,6 @@ BENCHMARK(BM_ReplayMany)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_MultinodeGnn)->Arg(16)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_MultinodeCgScaling)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_MultinodeCgScalingCache)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_MultinodeCgFabricGrid)->Unit(benchmark::kMillisecond);
 
 BENCHMARK_MAIN();

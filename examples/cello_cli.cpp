@@ -97,7 +97,7 @@ struct Options {
   std::vector<std::string> configs;
   std::optional<double> bw_gbps;  ///< default 1000
   std::optional<Bytes> sram_mib;  ///< default 4
-  u32 jobs = 0;  // 0 = hardware concurrency
+  std::optional<u32> jobs;  ///< sweep: pool size; 0 or unset = hardware concurrency
   std::optional<std::string> nodes;     ///< run: one count; sweep: comma list
   std::optional<std::string> topology;  ///< run: one spec; sweep: comma list
   std::optional<std::string> shard;       ///< "i/k" slice of the sweep grid
@@ -174,6 +174,7 @@ Options parse(int argc, char** argv) {
     throw Error("--shard/--shard-mode/--out apply only to the sweep command");
   if (o.command != "sweep" && (o.checkpoint || o.resume || o.keep_going || o.retries != 0))
     throw Error("--checkpoint/--resume/--keep-going/--retries apply only to the sweep command");
+  if (o.command != "sweep" && o.jobs) throw Error("--jobs applies only to the sweep command");
   if ((o.nodes || o.topology) && o.command != "sweep" && o.command != "run" &&
       o.command != "simulate")
     throw Error("--nodes/--topology apply only to the run and sweep commands");
@@ -208,7 +209,7 @@ Options parse(int argc, char** argv) {
   }
   if (o.command == "merge" &&
       (!o.workloads.empty() || o.dataset || o.mtx || o.n || o.iters || o.bw_gbps ||
-       o.sram_mib || !o.configs.empty() || o.jobs != 0))
+       o.sram_mib || !o.configs.empty()))
     throw Error("merge takes only file arguments: merge <out.json> <shard.json>...");
   if (o.workloads.empty()) o.workloads.push_back("cg");
   return o;
@@ -520,7 +521,7 @@ int run_cli(int argc, char** argv) {
           return &*it->second.writer;
         };
       }
-      const sim::SweepRunner runner(o.jobs);
+      const sim::SweepRunner runner(o.jobs.value_or(0));
       auto cells = runner.run_shard(grid, plan, sweep_options);
       if (tracer) {
         tracer->finish();

@@ -9,8 +9,8 @@
 #include <map>
 #include <mutex>
 #include <optional>
-#include <set>
 #include <thread>
+#include <tuple>
 
 #include "common/error.hpp"
 #include "common/failpoint.hpp"
@@ -268,21 +268,82 @@ std::vector<SweepResult> run_grid(u32 threads, const std::vector<WorkloadView>& 
   for (size_t rf = 0; rf < rows.size(); ++rf)
     dag_slot[rf] = unique_dag.emplace(rows[rf].dag, unique_dag.size()).first->second;
 
-  // The 1-node baseline runs once per (workload, config) any pending
-  // multi-node cell touches.
-  std::set<std::pair<size_t, size_t>> baseline_keys;
-  std::vector<size_t> wl_dag_slot(workloads.size(), SIZE_MAX);
+  // ---- per-node runs ----
+  // Every simulation of the sweep: one per distinct (DAG slot,
+  // configuration, matrix) that a pending untraced cell or a 1-node baseline
+  // needs, plus one per traced cell, which simulates on its own with its
+  // sink.  Topology enters only fold_multinode, so every cell derives from
+  // one of these runs: a 1-node cell takes its metrics as they are, a
+  // multi-node cell folds its shard run through its own topology.  Fabrics
+  // with equal node counts (mesh:2x2 and torus:2x2) thus share one shard
+  // run, and the `1` row's cell and the parallel-efficiency baseline of every
+  // multi-node cell share the full DAG's run.
+  struct NodeRun {
+    size_t di = 0;  ///< unique-DAG slot
+    size_t ci = 0;  ///< configuration index
+    const sparse::CsrMatrix* matrix = nullptr;
+    trace::TraceSink* sink = nullptr;  ///< a traced cell's own run
+    RunMetrics metrics;
+    double seconds = 0;  ///< metrics.seconds, kept for baselines once metrics move out
+    std::string error;   ///< empty = success
+    size_t readers = 0;  ///< cells that read `metrics` (baselines read `seconds` only)
+    std::vector<size_t> consumers;  ///< jobs derived from this run, as cell or baseline
+  };
+  std::vector<NodeRun> runs;
+  std::map<std::tuple<size_t, size_t, const sparse::CsrMatrix*>, size_t> run_of;
+  auto need_run = [&](size_t di, size_t ci, const sparse::CsrMatrix* matrix) {
+    const auto [it, fresh] = run_of.emplace(std::make_tuple(di, ci, matrix), runs.size());
+    if (fresh) {
+      NodeRun& r = runs.emplace_back();
+      r.di = di;
+      r.ci = ci;
+      r.matrix = matrix;
+    }
+    return it->second;
+  };
+  std::vector<size_t> cell_run(total, SIZE_MAX);  ///< per-node run of a cell
+  std::vector<size_t> base_run(total, SIZE_MAX);  ///< 1-node baseline of a multi-node cell
   for (size_t j = 0; j < total; ++j) {
-    if (done[j]) continue;
+    if (done[j]) continue;  // recovered from the checkpoint journal
     const size_t cell = cells != nullptr ? (*cells)[j] : j;
+    trace::TraceSink* sink = nullptr;
+    if (opts.trace_sink_for) {
+      sink = opts.trace_sink_for(cell);
+    } else if (opts.trace_sink != nullptr && opts.trace_cell == static_cast<i64>(cell)) {
+      sink = opts.trace_sink;
+    }
     const size_t rf = cell / C;
-    if (rows[rf].part == nullptr) continue;
-    const size_t wi = rf / F;
-    baseline_keys.emplace(wi, cell % C);
-    if (wl_dag_slot[wi] == SIZE_MAX)
-      wl_dag_slot[wi] = unique_dag.emplace(workloads[wi].dag, unique_dag.size()).first->second;
+    const size_t ci = cell % C;
+    const WorkloadView& wl = workloads[rf / F];
+    if (rows[rf].dag == nullptr) continue;  // failed partition: the cell reports it
+    if (rows[rf].part != nullptr) {
+      // The baseline runs the workload's full DAG, registered next to the
+      // shard DAGs so it shares their prebuild.  Registered first, so it
+      // leads its configuration in the wave and multi-node cells wait on it
+      // no longer than on their shard run.
+      const size_t full = unique_dag.emplace(wl.dag, unique_dag.size()).first->second;
+      base_run[j] = need_run(full, ci, wl.matrix);
+      runs[base_run[j]].consumers.push_back(j);
+    }
+    if (sink == nullptr) {
+      cell_run[j] = need_run(dag_slot[rf], ci, wl.matrix);
+    } else {
+      cell_run[j] = runs.size();
+      NodeRun& r = runs.emplace_back();
+      r.di = dag_slot[rf];
+      r.ci = ci;
+      r.matrix = wl.matrix;
+      r.sink = sink;
+    }
+    ++runs[cell_run[j]].readers;
+    runs[cell_run[j]].consumers.push_back(j);
   }
+  std::vector<const ir::TensorDag*> slot_dag(unique_dag.size());
+  for (const auto& [dag, di] : unique_dag) slot_dag[di] = dag;
 
+  // ---- shared prebuild ----
+  // Built for exactly the per-node runs: checkpoint-recovered cells need
+  // nothing.
   std::vector<std::optional<AddressMap>> maps(unique_dag.size());
   std::vector<std::vector<std::optional<score::Schedule>>> scheds(
       unique_dag.size(), std::vector<std::optional<score::Schedule>>(opt_keys.size()));
@@ -294,37 +355,44 @@ std::vector<SweepResult> run_grid(u32 threads, const std::vector<WorkloadView>& 
   // Shared immutable router tables, one per (DAG, router key).
   std::vector<std::vector<std::optional<RouterTables>>> rtables(
       unique_dag.size(), std::vector<std::optional<RouterTables>>(router_keys.size()));
-
-  // A cell-restricted (shard) run prebuilds only what its *pending* cells
-  // touch — checkpoint-recovered cells need no schedule — while a full run
-  // touches every (DAG, options) pair by construction.
-  const char all_needed = cells == nullptr ? 1 : 0;
-  std::vector<char> map_needed(unique_dag.size(), all_needed);
-  std::vector<std::vector<char>> sched_needed(unique_dag.size(),
-                                              std::vector<char>(opt_keys.size(), all_needed));
-  std::vector<std::vector<char>> rtable_needed(
-      unique_dag.size(), std::vector<char>(router_keys.size(), all_needed));
-  if (cells != nullptr) {
-    for (size_t j = 0; j < cells->size(); ++j) {
-      if (done[j]) continue;
-      const size_t cell = (*cells)[j];
-      const size_t rf = cell / C;
-      if (rows[rf].dag == nullptr) continue;  // unresolved row or failed partition
-      const size_t di = dag_slot[rf];
-      const size_t ki = config_slot[cell % C];
-      const size_t ri = config_rslot[cell % C];
-      map_needed[di] = 1;
-      sched_needed[di][ki] = 1;
-      rtable_needed[di][ri] = 1;
-      if (rows[rf].part != nullptr) {
-        // Multi-node cells also replay the full DAG once for the baseline.
-        const size_t bdi = wl_dag_slot[rf / F];
-        map_needed[bdi] = 1;
-        sched_needed[bdi][ki] = 1;
-        rtable_needed[bdi][ri] = 1;
-      }
+  // One captured AccessStream per (DAG, router key) that an untraced
+  // trace-driven replay-capable run touches: single-node rows, multi-node
+  // shard DAGs and the full DAGs the baselines run alike.  Capture is
+  // config-independent — only the schedule shape and routing decisions enter
+  // the stream — so configurations sharing a router slot (e.g. the Table IV
+  // cache presets on the op-by-op schedule) replay one stream: address
+  // generation is paid once per column instead of once per cell.
+  // Simulator::run picks replay up from RunArtifacts; traced cells stay on
+  // the direct path (run_impl gates replay on the absence of a sink).
+  std::vector<std::vector<std::optional<AccessStream>>> streams(
+      unique_dag.size(), std::vector<std::optional<AccessStream>>(router_keys.size()));
+  std::vector<char> config_replayable(C, 0);
+  if (!replay_disabled_by_env()) {
+    for (size_t ci = 0; ci < C; ++ci) {
+      if (!configs[ci].buffers) continue;
+      const auto probe = configs[ci].buffers(router_keys[config_rslot[ci]].arch);
+      config_replayable[ci] =
+          probe != nullptr && probe->trace_driven() && probe->supports_replay();
     }
   }
+  std::vector<char> map_needed(unique_dag.size(), 0);
+  std::vector<std::vector<char>> sched_needed(unique_dag.size(),
+                                              std::vector<char>(opt_keys.size(), 0));
+  std::vector<std::vector<char>> rtable_needed(unique_dag.size(),
+                                               std::vector<char>(router_keys.size(), 0));
+  std::vector<std::vector<char>> stream_needed(unique_dag.size(),
+                                               std::vector<char>(router_keys.size(), 0));
+  std::vector<const sparse::CsrMatrix*> dag_matrix(unique_dag.size(), nullptr);
+  auto need_artifacts = [&](size_t di, size_t ci, const sparse::CsrMatrix* matrix,
+                            bool traced) {
+    map_needed[di] = 1;
+    sched_needed[di][config_slot[ci]] = 1;
+    rtable_needed[di][config_rslot[ci]] = 1;
+    if (traced || !config_replayable[ci]) return;
+    stream_needed[di][config_rslot[ci]] = 1;
+    dag_matrix[di] = matrix;
+  };
+  for (const NodeRun& r : runs) need_artifacts(r.di, r.ci, r.matrix, r.sink != nullptr);
 
   struct PrebuildJob {
     const ir::TensorDag* dag;
@@ -380,46 +448,7 @@ std::vector<SweepResult> run_grid(u32 threads, const std::vector<WorkloadView>& 
     }
   });
 
-  // ---- access streams (third prebuild wave) ----
-  // One captured AccessStream per (DAG, router key) that a pending
-  // trace-driven replay-capable cell or 1-node baseline touches: single-node
-  // rows, multi-node shard DAGs and the full DAGs the baselines run alike.
-  // Capture is config-independent — only the schedule shape and routing
-  // decisions enter the stream — so configurations sharing a router slot
-  // (e.g. the Table IV cache presets on the op-by-op schedule) replay one
-  // stream: address generation is paid once per column instead of once per
-  // cell.  Slots key on DAG identity, so when the grid has a single-chip
-  // fabric the baselines replay that row's stream instead of capturing
-  // again.  Simulator::run picks replay up from RunArtifacts; traced cells
-  // stay on the direct path (run_impl gates replay on the absence of a sink).
-  std::vector<char> config_replayable(C, 0);
-  if (!replay_disabled_by_env()) {
-    for (size_t ci = 0; ci < C; ++ci) {
-      if (!configs[ci].buffers) continue;
-      const auto probe = configs[ci].buffers(router_keys[config_rslot[ci]].arch);
-      config_replayable[ci] =
-          probe != nullptr && probe->trace_driven() && probe->supports_replay();
-    }
-  }
-  std::vector<std::vector<std::optional<AccessStream>>> streams(
-      unique_dag.size(), std::vector<std::optional<AccessStream>>(router_keys.size()));
-  std::vector<std::vector<char>> stream_needed(unique_dag.size(),
-                                               std::vector<char>(router_keys.size(), 0));
-  std::vector<const sparse::CsrMatrix*> dag_matrix(unique_dag.size(), nullptr);
-  for (size_t j = 0; j < total; ++j) {
-    if (done[j]) continue;
-    const size_t cell = cells != nullptr ? (*cells)[j] : j;
-    const size_t rf = cell / C;
-    const size_t ci = cell % C;
-    if (!config_replayable[ci] || rows[rf].dag == nullptr) continue;
-    const size_t wi = rf / F;
-    stream_needed[dag_slot[rf]][config_rslot[ci]] = 1;
-    dag_matrix[dag_slot[rf]] = workloads[wi].matrix;
-    if (rows[rf].part != nullptr) {
-      stream_needed[wl_dag_slot[wi]][config_rslot[ci]] = 1;
-      dag_matrix[wl_dag_slot[wi]] = workloads[wi].matrix;
-    }
-  }
+  // Third prebuild wave: the access streams.
   struct StreamJob {
     const ir::TensorDag* dag;
     size_t di;
@@ -438,104 +467,93 @@ std::vector<SweepResult> run_grid(u32 threads, const std::vector<WorkloadView>& 
         *job.dag, sched, *maps[job.di], dag_matrix[job.di], key.arch, router));
   });
 
-  // ---- the grid ----
-  // Each pool worker owns one RunScratch: per-cell mutable state (reuse
+  // Each pool worker owns one RunScratch: per-run mutable state (reuse
   // cursors, attribution scratch, pooled buffer policies) is reset, not
-  // reallocated, between the cells that worker executes.
-  std::vector<RunScratch> scratches(worker_count(threads, total));
-
-  // ---- 1-node baselines ----
-  // Parallel-efficiency needs "the whole workload on one chip" per (workload,
-  // config); run those once up front against the same shared artifacts —
-  // the full DAG's access stream included — so a {1,4,16,64}-node column
-  // reuses one baseline instead of re-simulating it per fabric.  A baseline
-  // failure quarantines only the cells that fold it.
-  struct Baseline {
-    double seconds = 0;
-    std::string error;
+  // reallocated, between the simulations that worker executes.
+  std::vector<RunScratch> scratches(worker_count(threads, runs.size()));
+  auto simulate = [&](const NodeRun& r, u32 worker) {
+    const Simulator simulator(arch, r.matrix);
+    RunArtifacts art;
+    art.schedule = &*scheds[r.di][config_slot[r.ci]];
+    art.address_map = &*maps[r.di];
+    art.reuse_index = &*reuse[r.di][config_slot[r.ci]];
+    art.router_tables = &*rtables[r.di][config_rslot[r.ci]];
+    art.scratch = &scratches[worker];
+    const auto& stream = streams[r.di][config_rslot[r.ci]];
+    if (stream.has_value()) art.access_stream = &*stream;
+    art.trace = r.sink;
+    return simulator.run(*slot_dag[r.di], configs[r.ci], art);
   };
-  std::map<std::pair<size_t, size_t>, Baseline> baselines;
-  std::vector<std::pair<size_t, size_t>> bkeys(baseline_keys.begin(), baseline_keys.end());
-  for (const auto& key : bkeys) baselines.emplace(key, Baseline{});
-  parallel_for(threads, bkeys.size(), [&](size_t j, u32 worker) {
-    const auto [wi, ci] = bkeys[j];
-    const size_t di = wl_dag_slot[wi];
-    const size_t ki = config_slot[ci];
-    Baseline& base = baselines.find(bkeys[j])->second;
-    try {
-      const Simulator simulator(arch, workloads[wi].matrix);
-      RunArtifacts art;
-      art.schedule = &*scheds[di][ki];
-      art.address_map = &*maps[di];
-      art.reuse_index = &*reuse[di][ki];
-      art.router_tables = &*rtables[di][config_rslot[ci]];
-      art.scratch = &scratches[worker];
-      const auto& stream = streams[di][config_rslot[ci]];
-      if (stream.has_value()) art.access_stream = &*stream;
-      base.seconds = simulator.run(*workloads[wi].dag, configs[ci], art).seconds;
-    } catch (const std::exception& e) {
-      base.error = e.what();
-    }
-  });
 
-  auto run_cell = [&](size_t job, u32 worker) {
-    if (done[job]) return;  // recovered from the checkpoint journal
+  // ---- the cells ----
+  // A cell is derived — and journaled — by the worker that finishes the last
+  // run it needs (its per-node run and, for a multi-node cell, the 1-node
+  // baseline), so a checkpointed sweep saves each cell as soon as it can be
+  // computed.  `waiting` counts a cell's unfinished runs; `unread` counts
+  // the cells that still have to read a run's metrics, and the last one
+  // frees them.
+  std::vector<std::atomic<u32>> waiting(total);
+  for (const NodeRun& r : runs)
+    for (const size_t job : r.consumers) waiting[job].fetch_add(1, std::memory_order_relaxed);
+  std::vector<std::atomic<size_t>> unread(runs.size());
+  for (size_t k = 0; k < runs.size(); ++k)
+    unread[k].store(runs[k].readers, std::memory_order_relaxed);
+
+  auto derive_cell = [&](size_t job, u32 worker) {
     const size_t cell = cells != nullptr ? (*cells)[job] : job;
     const size_t rf = cell / C;
-    const size_t ci = cell % C;
     const size_t fi = rf % F;
-    const size_t wi = rf / F;
+    const size_t ci = cell % C;
     const RowView& row = rows[rf];
-    const WorkloadView& wl = workloads[wi];
-    SweepResult result{*wl.name, configs[ci].name, {}, {}, {}};
+    const std::string& wl_name = *workloads[rf / F].name;
+    SweepResult result{wl_name, configs[ci].name, {}, {}, {}};
     if (fabric_axis) result.fabric = fabs[fi];
-    trace::TraceSink* sink = nullptr;
-    if (opts.trace_sink_for) {
-      sink = opts.trace_sink_for(cell);
-    } else if (opts.trace_sink != nullptr && opts.trace_cell == static_cast<i64>(cell)) {
-      sink = opts.trace_sink;
-    }
-    const bool traced = sink != nullptr;
     // Deterministic bounded retries: attempts run back-to-back on the same
-    // worker, so the final outcome is independent of thread scheduling.
+    // worker, so the final outcome is independent of thread scheduling.  A
+    // failed run stands in for the cell's first attempt; later attempts
+    // re-run the cell's own simulation.
     std::string error;
     for (u32 attempt = 0; attempt <= opts.retries; ++attempt) {
       error.clear();
       try {
         failpoint::maybe_throw("sweep.cell", std::to_string(cell));
         if (!row.error.empty()) throw Error(row.error);
-        const Simulator simulator(arch, wl.matrix);
-        RunArtifacts art;
-        art.schedule = &*scheds[dag_slot[rf]][config_slot[ci]];
-        art.address_map = &*maps[dag_slot[rf]];
-        art.reuse_index = &*reuse[dag_slot[rf]][config_slot[ci]];
-        art.router_tables = &*rtables[dag_slot[rf]][config_rslot[ci]];
-        art.scratch = &scratches[worker];
-        const auto& stream = streams[dag_slot[rf]][config_rslot[ci]];
-        if (stream.has_value()) art.access_stream = &*stream;
-        if (traced) art.trace = sink;
-        result.metrics = simulator.run(*row.dag, configs[ci], art);
-        if (row.part != nullptr) {
-          const Baseline& base = baselines.at({wi, ci});
-          if (!base.error.empty())
-            throw Error("1-node baseline failed: " + base.error);
-          // Captured before the fold so a traced cell places its collective
-          // span where the direct multi-node run would.
-          const double per_node_seconds = result.metrics.seconds;
-          result.metrics = fold_multinode(result.metrics, base.seconds, *row.part,
-                                          *finfo[fi].topo, arch);
-          if (traced) trace_collectives(*sink, result.metrics, per_node_seconds);
+        NodeRun& run = runs[cell_run[job]];
+        std::optional<RunMetrics> own;
+        if (!run.error.empty()) {
+          if (attempt == 0) throw Error(run.error);
+          own = simulate(run, worker);
+        }
+        if (row.part == nullptr) {
+          if (own) {
+            result.metrics = std::move(*own);
+          } else if (run.readers == 1) {
+            result.metrics = std::move(run.metrics);  // the run's only reader takes it
+          } else {
+            result.metrics = run.metrics;
+          }
+        } else {
+          const NodeRun& base = runs[base_run[job]];
+          if (!base.error.empty()) throw Error("1-node baseline failed: " + base.error);
+          const RunMetrics& per_node = own ? *own : run.metrics;
+          result.metrics =
+              fold_multinode(per_node, base.seconds, *row.part, *finfo[fi].topo, arch);
+          // The span starts at the per-node time, where the direct multi-node
+          // run places it.
+          if (run.sink != nullptr) trace_collectives(*run.sink, result.metrics, per_node.seconds);
         }
         break;
       } catch (const std::exception& e) {
         error = e.what();
       }
     }
+    const size_t k = cell_run[job];
+    if (k != SIZE_MAX && unread[k].fetch_sub(1, std::memory_order_acq_rel) == 1)
+      runs[k].metrics = RunMetrics{};
     if (!error.empty()) {
       // Every cell-level throw carries its full grid coordinates: a failure
       // in a million-cell sweep names exactly what died and under what.
-      std::string context = "sweep cell " + std::to_string(cell) + " (workload '" + *wl.name +
-                            "'";
+      std::string context = "sweep cell " + std::to_string(cell) + " (workload '" + wl_name + "'";
       if (fabric_axis) context += ", fabric '" + fabs[fi] + "'";
       context += ", config '" + configs[ci].name + "') failed";
       if (opts.retries > 0)
@@ -552,34 +570,49 @@ std::vector<SweepResult> run_grid(u32 threads, const std::vector<WorkloadView>& 
     if (journal.active() && completed) journal.append(cell, out[job]);
   };
 
+  // Cells with no run (their partition failed) report before anything
+  // simulates.
+  for (size_t job = 0; job < total; ++job)
+    if (!done[job] && cell_run[job] == SIZE_MAX) derive_cell(job, 0);
+
   // ---- worker-affine tiling ----
-  // Jobs are claimed in configuration-major run-length chunks instead of one
-  // by one: a worker executing a chunk runs the same configuration repeatedly,
-  // so its scratch's pooled buffer policy is reset — not rebuilt — between
-  // consecutive cells.  Each configuration run splits into at most
+  // Runs are claimed in configuration-major run-length chunks instead of one
+  // by one: a worker executing a chunk runs the same configuration
+  // repeatedly, so its scratch's pooled buffer policy is reset — not rebuilt
+  // — between consecutive runs.  Each configuration run splits into at most
   // worker_count pieces to keep the pool load-balanced.  Results are written
-  // by job index and each cell's simulation is untouched, so output order and
-  // bits match the one-job-at-a-time claiming at any thread count.
-  const u32 nworkers = worker_count(threads, total);
-  std::vector<size_t> order(total);
-  for (size_t j = 0; j < total; ++j) order[j] = j;
-  auto config_of = [&](size_t job) { return (cells != nullptr ? (*cells)[job] : job) % C; };
+  // by job index and each simulation is untouched, so output order and bits
+  // match one-run-at-a-time claiming at any thread count.
+  const u32 nworkers = worker_count(threads, runs.size());
+  std::vector<size_t> order(runs.size());
+  for (size_t k = 0; k < runs.size(); ++k) order[k] = k;
   std::stable_sort(order.begin(), order.end(),
-                   [&](size_t a, size_t b) { return config_of(a) < config_of(b); });
+                   [&](size_t a, size_t b) { return runs[a].ci < runs[b].ci; });
   struct Chunk {
     size_t begin, end;  ///< half-open range into `order`
   };
   std::vector<Chunk> chunks;
-  for (size_t s = 0; s < total;) {
+  for (size_t s = 0; s < order.size();) {
     size_t e = s;
-    while (e < total && config_of(order[e]) == config_of(order[s])) ++e;
+    while (e < order.size() && runs[order[e]].ci == runs[order[s]].ci) ++e;
     const size_t pieces = std::min<size_t>(nworkers, e - s);
     const size_t step = (e - s + pieces - 1) / pieces;
     for (size_t p = s; p < e; p += step) chunks.push_back({p, std::min(p + step, e)});
     s = e;
   }
   parallel_for(threads, chunks.size(), [&](size_t cj, u32 worker) {
-    for (size_t k = chunks[cj].begin; k < chunks[cj].end; ++k) run_cell(order[k], worker);
+    for (size_t i = chunks[cj].begin; i < chunks[cj].end; ++i) {
+      NodeRun& r = runs[order[i]];
+      try {
+        r.metrics = simulate(r, worker);
+        r.seconds = r.metrics.seconds;
+        if (r.readers == 0) r.metrics = RunMetrics{};  // baseline only: the seconds suffice
+      } catch (const std::exception& e) {
+        r.error = e.what();  // each consuming cell reports it with its own coordinates
+      }
+      for (const size_t job : r.consumers)
+        if (waiting[job].fetch_sub(1, std::memory_order_acq_rel) == 1) derive_cell(job, worker);
+    }
   });
   return out;
 }

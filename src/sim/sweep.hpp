@@ -15,11 +15,24 @@
 // rebuilding them per cell (the cache presets replay one stream; see
 // sim/access_stream.hpp).  Mutable per-run state lives in one
 // RunScratch per pool worker (reuse cursors, attribution scratch, pooled
-// reset-between-cells buffer policies); workers never share it.  Cells are
-// handed out in configuration-major run-length chunks (worker-affine tiling),
-// so consecutive cells on one worker usually share a pooled policy and reset
-// it instead of rebuilding — results still land in row-major order and every
-// cell stays bit-identical to a fresh serial run at any thread count.
+// reset-between-runs buffer policies); workers never share it.
+//
+// The runner simulates each distinct (DAG, configuration) that a pending
+// untraced cell or 1-node baseline needs exactly once, in one parallel wave.
+// The worker that finishes the last run a cell needs derives that cell from
+// it — and journals it — at once, so results land in row-major order but a
+// checkpoint never waits for the rest of the wave.  On a fabric
+// axis (sim/shard.hpp) topology enters only fold_multinode, so fabrics with
+// equal node counts (mesh:2x2, torus:2x2) fold the same shard run through
+// their own topologies, and the `1` row's cell is the full-DAG run every
+// multi-node cell also reads its parallel-efficiency baseline from: a
+// {1,4,16,64} x {mesh,torus} column costs four per-node runs per
+// configuration.  A traced cell gets a run of its own, with its sink.  Runs
+// are handed out in configuration-major run-length chunks (worker-affine
+// tiling), so consecutive runs on one worker usually share a pooled policy
+// and reset it instead of rebuilding; every cell stays bit-identical to a
+// fresh serial run at any thread count.  Retries, quarantine, fail points
+// and journaling stay per cell.
 #pragma once
 
 #include <functional>
@@ -76,7 +89,8 @@ struct SweepOptions {
   bool keep_going = false;
   /// Re-run a failing cell up to this many extra times (deterministically, on
   /// the same worker, before its error is recorded or rethrown) — transient
-  /// faults survive, persistent ones still fail with full context.
+  /// faults survive, persistent ones still fail with full context.  A cell
+  /// whose shared run failed re-runs its own simulation on the retries.
   u32 retries = 0;
   /// Append-only cell journal path; empty = no checkpointing.  Only valid for
   /// shard-scoped runs (run_shard), whose grid fingerprint keys the journal.
@@ -93,12 +107,12 @@ struct SweepOptions {
   i64 trace_cell = -1;
   /// Sink the traced cell writes to (borrowed; must outlive the sweep).
   trace::TraceSink* trace_sink = nullptr;
-  /// Multi-cell tracing: called once per executed cell with its flattened
-  /// row-major id; a non-null return traces that cell into the returned sink
-  /// (borrowed; must outlive the sweep).  Called concurrently from pool
-  /// workers, so the callback must be thread-safe.  Checkpoint-recovered
-  /// cells are never consulted (they re-emit nothing, like trace_cell).
-  /// Mutually exclusive with trace_cell / trace_sink.
+  /// Multi-cell tracing: called once per pending cell with its flattened
+  /// row-major id, from the calling thread before anything simulates; a
+  /// non-null return traces that cell into the returned sink (borrowed; must
+  /// outlive the sweep).  Each sink is written by one thread at a time.
+  /// Checkpoint-recovered cells are never consulted (they re-emit nothing,
+  /// like trace_cell).  Mutually exclusive with trace_cell / trace_sink.
   std::function<trace::TraceSink*(size_t cell)> trace_sink_for;
 };
 
