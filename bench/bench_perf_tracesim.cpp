@@ -292,6 +292,11 @@ void BM_LlmDecodeFlexKv(benchmark::State& s) {
 void BM_LlmDecodeFlexLru(benchmark::State& s) {
   run_config(s, *llm_workload().dag, nullptr, "Flex+LRU");
 }
+// BRRIP never fast-forwards a decode stream: every line goes through the
+// compact engine's long-run (paired-group) path.
+void BM_LlmDecodeFlexBrrip(benchmark::State& s) {
+  run_config(s, *llm_workload().dag, nullptr, "Flex+BRRIP");
+}
 void BM_LlmDecodeCello(benchmark::State& s) {
   run_config(s, *llm_workload().dag, nullptr, "Cello");
 }
@@ -396,6 +401,35 @@ void BM_ReplayMany(benchmark::State& state) {
   }
 }
 
+// Short-span replay: the e2ebench table4 `power` stream (seed 1), a period
+// of 728,724 spans repeated 10 times, 727,254 of them one-line SpMV gathers,
+// replayed under LRU and BRRIP at the default 4 MiB geometry.  A one-line
+// span is one partial group, so this row guards the per-span cost of the
+// compact engine that the long-run rows do not see.
+void BM_ReplayShortSpans(benchmark::State& state) {
+  const auto arch = bench::table5_config(1e12, 4ull * 1024 * 1024);
+  static const sim::Workload wl = sim::WorkloadRegistry::global().resolve(
+      "power:gen=circuit,m=150102,nnz=726674,seed=1");
+  const sim::Simulator simulator(arch, wl.matrix.get());
+  const sim::Configuration& config = sim::ConfigRegistry::global().at("Flex+LRU");
+  const score::Schedule sched = simulator.make_schedule(*wl.dag, config);
+  const sim::AddressMap map = sim::AddressMap::build(*wl.dag);
+  const sim::Router router(*wl.dag, sched, config.schedule, config.allow_delayed_hold, arch);
+  const sim::AccessStream stream =
+      sim::AccessStream::capture(*wl.dag, sched, map, wl.matrix.get(), arch, router);
+  sim::CachePolicy lru(arch, cache::Policy::Lru);
+  sim::CachePolicy brrip(arch, cache::Policy::Brrip);
+  std::vector<sim::BufferService> services;
+  for (auto _ : state) {
+    for (sim::CachePolicy* p : {&lru, &brrip}) {
+      p->reset();
+      const bool ok = p->replay(stream, services);
+      benchmark::DoNotOptimize(ok);
+    }
+  }
+  state.counters["spans"] = benchmark::Counter(static_cast<double>(stream.spans()));
+}
+
 // ---- multi-chip rows --------------------------------------------------------
 // The arch-driven scale-out path (Sec. V-B): partition the dominant rank,
 // simulate one node's shard, price the routed NoC collectives, fold back.
@@ -486,12 +520,14 @@ BENCHMARK(BM_ResolveTable4)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_ReuseIndexShared)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_LlmDecodeFlexKv)->Arg(4)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_LlmDecodeFlexLru)->Arg(4)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_LlmDecodeFlexBrrip)->Arg(4)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_LlmDecodeCello)->Arg(4)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_LlmDecodeSweepShared)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_ReplaySweepTable4)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_ReplaySweepTable4Direct)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_ReplayCapture)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_ReplayMany)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_ReplayShortSpans)->Unit(benchmark::kMillisecond);
 // Node count on the torus fabric — the scale-out single-cell row.
 BENCHMARK(BM_MultinodeGnn)->Arg(16)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_MultinodeCgScaling)->Unit(benchmark::kMillisecond);

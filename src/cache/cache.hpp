@@ -128,6 +128,9 @@ class SetAssocCache {
   /// lanes directly so snapshots, fast-forward restores, and the compact
   /// AVX-512 engine's final write-back stay bit-identical to direct access.
   friend class StreamReplayer;
+  /// Read-only lane access for tests that compare two caches' replacement
+  /// state lane by lane (defined in the test, nowhere in the library).
+  friend struct SetAssocCacheTestPeer;
 
   /// Tag-lane sentinels for an empty way.  The 8-way fast path stores tags
   /// as u32 and checks the bound per access: a simulated footprint would

@@ -208,7 +208,8 @@ void StreamReplayer::save_state(std::vector<u8>& blob) const {
       std::memcpy(blob.data(), state_.tags.data(), nt);
       std::memcpy(blob.data() + nt, state_.aux.data(), nt);
     }
-    blob[nt + nt] = static_cast<u8>(state_.counter % 32);
+    // The BRRIP bimodal fill counter equals the miss count; LRU has none.
+    blob[nt + nt] = state_.policy == Policy::Brrip ? static_cast<u8>(state_.s.misses % 32) : 0;
     return;
   }
   const size_t nt = cache_.sets_ * 8 * sizeof(u32);
@@ -331,11 +332,9 @@ void StreamReplayer::fast_forward(u64 j, const CacheStats& c_k) {
   set_stats(fin);
   // The bimodal fill counter bumps exactly once per miss (and only under
   // BRRIP), so the absolute counter is recoverable from the final stats.
-  if (compact_) {
-    if (state_.policy == Policy::Brrip) state_.counter = state_.s.misses;
-  } else if (cache_.policy_ == Policy::Brrip) {
+  // (The compact engine reads its counter off the misses directly.)
+  if (!compact_ && cache_.policy_ == Policy::Brrip)
     cache_.brrip_insert_counter_ = cache_.stats_.misses;
-  }
   cycle_from_ = j;
   cycle_len_ = cyc;
   converged_ = true;
