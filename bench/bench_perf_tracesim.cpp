@@ -293,7 +293,7 @@ void BM_LlmDecodeFlexLru(benchmark::State& s) {
   run_config(s, *llm_workload().dag, nullptr, "Flex+LRU");
 }
 // BRRIP never fast-forwards a decode stream: every line goes through the
-// compact engine's long-run (paired-group) path.
+// compact engine's long-run (four-group tile) path.
 void BM_LlmDecodeFlexBrrip(benchmark::State& s) {
   run_config(s, *llm_workload().dag, nullptr, "Flex+BRRIP");
 }
@@ -430,6 +430,35 @@ void BM_ReplayShortSpans(benchmark::State& state) {
   state.counters["spans"] = benchmark::Counter(static_cast<double>(stream.spans()));
 }
 
+// Long-run replay: the llm decode stream of the LlmDecode rows, captured once
+// outside the timed loop and replayed under LRU and BRRIP at the default
+// 4 MiB geometry.  Its 1,376 spans cover thousands of consecutive lines
+// each, so nearly every set goes through the compact engine's four-group
+// tiles: the long-run twin of BM_ReplayShortSpans, without the schedule and
+// capture the LlmDecode rows also time.
+void BM_ReplayLongRuns(benchmark::State& state) {
+  const auto arch = bench::table5_config(1e12, 4ull * 1024 * 1024);
+  const sim::Workload& wl = llm_workload();
+  const sim::Simulator simulator(arch, wl.matrix.get());
+  const sim::Configuration& config = sim::ConfigRegistry::global().at("Flex+LRU");
+  const score::Schedule sched = simulator.make_schedule(*wl.dag, config);
+  const sim::AddressMap map = sim::AddressMap::build(*wl.dag);
+  const sim::Router router(*wl.dag, sched, config.schedule, config.allow_delayed_hold, arch);
+  const sim::AccessStream stream =
+      sim::AccessStream::capture(*wl.dag, sched, map, wl.matrix.get(), arch, router);
+  sim::CachePolicy lru(arch, cache::Policy::Lru);
+  sim::CachePolicy brrip(arch, cache::Policy::Brrip);
+  std::vector<sim::BufferService> services;
+  for (auto _ : state) {
+    for (sim::CachePolicy* p : {&lru, &brrip}) {
+      p->reset();
+      const bool ok = p->replay(stream, services);
+      benchmark::DoNotOptimize(ok);
+    }
+  }
+  state.counters["spans"] = benchmark::Counter(static_cast<double>(stream.spans()));
+}
+
 // ---- multi-chip rows --------------------------------------------------------
 // The arch-driven scale-out path (Sec. V-B): partition the dominant rank,
 // simulate one node's shard, price the routed NoC collectives, fold back.
@@ -528,6 +557,7 @@ BENCHMARK(BM_ReplaySweepTable4Direct)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_ReplayCapture)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_ReplayMany)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_ReplayShortSpans)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_ReplayLongRuns)->Unit(benchmark::kMillisecond);
 // Node count on the torus fabric — the scale-out single-cell row.
 BENCHMARK(BM_MultinodeGnn)->Arg(16)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_MultinodeCgScaling)->Unit(benchmark::kMillisecond);

@@ -8,12 +8,14 @@
 // Two engines, selected per cache geometry at construction:
 //  * compact: the default 8-way power-of-two geometry on AVX-512 hosts runs a
 //    u8 tag lane + one u64 rank/meta lane per set, 8 sets per masked 512-bit
-//    group, two groups in flight on runs of 16+ sets (see cache_simd512.cpp).
+//    group, four groups in flight on runs of 32+ sets (see cache_simd512.cpp).
 //    On the e2ebench decode stream (LRU and BRRIP, 388M lines per replay) it
-//    takes ~1.6 ns per line on an AVX-512 Xeon (4 vCPUs), against ~2.8 ns
-//    with one group at a time and ~15 ns on the direct engine.  Tags are
-//    rebased against the stream's address window so they fit the byte lane;
-//    finish() expands the compact state back into the cache's own lanes.
+//    takes ~1.0 ns per line on an AVX-512 Xeon (4 vCPUs), against ~1.2 ns
+//    with two groups in flight on the same box; one group at a time took
+//    ~2.8 ns and the direct engine ~15 ns when those were measured.  Tags
+//    are rebased against the stream's address window so they fit the byte
+//    lane; finish() expands the compact state back into the cache's own
+//    lanes.
 //  * direct: every other geometry (or CELLO_DISABLE_AVX512=1) feeds the spans
 //    through the cache's public access_range — trivially bit-identical.
 // The tag window is a hard limit of the compact engine: every tag the

@@ -21,14 +21,14 @@
 // becomes one bit per set via vpmovm2b + vptestmq; the lane max RRPV and the
 // selected LRU rank spread over their qword by rotate-and-max/or; the lowest
 // candidate way of each set is C & -C on its qword.  Each policy has one
-// group body.  A run of 16 or more sets in one wrap segment goes two groups
-// per iteration — load both, compute both, store both — because one group is
-// a single long dependency chain that leaves the out-of-order core little to
-// overlap; the second group's bimodal counter is the first's plus its misses.
-// Two groups, not four: an earlier prototype measured four slower than two,
-// but with these lane-mask bodies four measured 12-15% faster on the decode
-// stream's long runs in kernel-only rounds, so the count is an open item
-// (ROADMAP item 4).
+// group body.  A run of 32 or more sets in one wrap segment goes four groups
+// per iteration — load all four, compute all four, store all four — and a
+// remaining 16-31 sets take one two-group step, because one group is a single
+// long dependency chain that leaves the out-of-order core little to overlap;
+// each group's bimodal counter is the previous groups' plus their misses.
+// On a 4-vCPU AVX-512 Xeon at -O2, four groups per iteration replay the
+// e2ebench decode stream ~12% faster than two (1.16 -> 1.03 ns per line);
+// eight, though they compile without zmm spills, measured slower than four.
 // Shorter runs (CSR gathers are mostly one-line spans) run the body once per
 // group, where its all-hit early-out matters.  Counters accumulate in
 // registers and are written back once per replay_spans_avx512 call.
@@ -85,6 +85,7 @@ void replay_spans_avx512(CompactState&, const ReplaySpans&, size_t, size_t) {}
 
 #include <algorithm>
 #include <bit>
+#include <utility>
 
 namespace cello::cache::detail {
 
@@ -219,29 +220,37 @@ inline void group_brrip(Group& g, __m512i T, bool w, __mmask64 slots, __mmask8 s
 
 using GroupFn = void (*)(Group&, __m512i, bool, __mmask64, __mmask8, Tally&);
 
-/// Sets [set, set + n) of one wrap segment, all probing `tag8`.  Runs of 16+
-/// sets go two 8-set groups per iteration — both loaded, both computed, both
-/// stored — so the out-of-order core overlaps two independent dependency
-/// chains; the rest goes one (possibly partial) group at a time.  The tally
-/// and the lane pointers live in registers for the whole segment.  Forced
-/// inline so one-line spans, which call this once per line, do not pay a
-/// call and the constants' setup per span.
+/// One tile of sizeof...(I) full 8-set groups from `tp` / `ap`: all loaded,
+/// all computed in set order (so each group's bimodal counter sees the
+/// earlier groups' misses), all stored.  The groups are independent
+/// dependency chains the out-of-order core overlaps; at four groups every
+/// lane stays in a zmm register.
+template <GroupFn Kernel, size_t... I>
+[[gnu::always_inline]] inline void run_tile(u8* const tp, u64* const ap, __m512i T, bool w,
+                                            Tally& t, std::index_sequence<I...>) {
+  Group g[] = {Group{_mm512_loadu_si512(tp + 64 * I), _mm512_loadu_si512(ap + 8 * I), 0}...};
+  (Kernel(g[I], T, w, ~__mmask64{0}, 0xFF, t), ...);
+  (_mm512_storeu_si512(ap + 8 * I, g[I].aux), ...);
+  (_mm512_mask_storeu_epi8(tp + 64 * I, g[I].fill, T), ...);
+}
+
+/// Sets [set, set + n) of one wrap segment, all probing `tag8`.  Runs of 32+
+/// sets go four 8-set groups per iteration, a remaining 16-31 sets one
+/// two-group tile, and the rest one (possibly partial) group at a time.  The
+/// tally and the lane pointers live in registers for the whole segment.
+/// Forced inline so one-line spans, which call this once per line, do not
+/// pay a call and the constants' setup per span.
 template <GroupFn Kernel>
 [[gnu::always_inline]] inline void run_sets(u8* const tags, u64* const aux, u64 set, u64 n,
                                             u8 tag8, bool w, Tally& tally) {
   const __m512i T = _mm512_set1_epi8(static_cast<char>(tag8));
   Tally t = tally;
-  for (; n >= 16; set += 16, n -= 16) {
-    u8* tp = tags + set * 8;
-    u64* ap = aux + set;
-    Group a{_mm512_loadu_si512(tp), _mm512_loadu_si512(ap), 0};
-    Group b{_mm512_loadu_si512(tp + 64), _mm512_loadu_si512(ap + 8), 0};
-    Kernel(a, T, w, ~__mmask64{0}, 0xFF, t);
-    Kernel(b, T, w, ~__mmask64{0}, 0xFF, t);
-    _mm512_storeu_si512(ap, a.aux);
-    _mm512_storeu_si512(ap + 8, b.aux);
-    _mm512_mask_storeu_epi8(tp, a.fill, T);
-    _mm512_mask_storeu_epi8(tp + 64, b.fill, T);
+  for (; n >= 32; set += 32, n -= 32)
+    run_tile<Kernel>(tags + set * 8, aux + set, T, w, t, std::make_index_sequence<4>{});
+  if (n >= 16) {
+    run_tile<Kernel>(tags + set * 8, aux + set, T, w, t, std::make_index_sequence<2>{});
+    set += 16;
+    n -= 16;
   }
   while (n != 0) {
     const unsigned k = static_cast<unsigned>(std::min<u64>(n, 8));

@@ -5,15 +5,17 @@
 // the tag lane, the LRU rank / BRRIP meta lane and the bimodal fill counter,
 // and every op must be charged the same DRAM traffic.
 //
-// The streams exercise what the kernels special-case: runs of 1..33 sets
-// around the one-group (8) and two-group (16) boundaries, spans that cross
-// the set-index wrap or sweep every set, reads mixed with writes, each of the
-// 32 bimodal counter phases at the start of a group pair, tags at both edges
-// of the rebased u8 window (0 and 0xFE), and periodic streams that
-// fast-forward.  On a host without the AVX-512 engine the kernel tests skip:
-// the direct engine compared with itself would pass vacuously.  The last
-// test pins the documented tag-window cliff: a stream whose tags span 255 or
-// more values falls back to the direct engine and stays bit-identical.
+// The streams exercise what the kernels special-case: runs of 1..97 sets
+// around the one-group (8), two-group (16) and four-group tile (32, 64, 96)
+// boundaries, runs that start mid-tile and split at the set-index wrap, spans
+// that sweep every set, reads mixed with writes, each of the 32 bimodal
+// counter phases at the start of a four-group tile (so the every-32nd-miss
+// pick lands in each of its groups), tags at both edges of the rebased u8
+// window (0 and 0xFE), and periodic streams that fast-forward.  On a host
+// without the AVX-512 engine the kernel tests skip: the direct engine
+// compared with itself would pass vacuously.  The last test pins the
+// documented tag-window cliff: a stream whose tags span 255 or more values
+// falls back to the direct engine and stays bit-identical.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -206,7 +208,8 @@ class SpanGen {
 /// over a small tag pool (hits, fills, evictions) that includes both window
 /// edges; some cross the wrap and some sweep every set.
 Stream mixed_stream(u64 seed, u64 sets, u64 spans, u64 per_op) {
-  static constexpr u64 kRuns[] = {1, 7, 8, 9, 15, 16, 17, 31, 32, 33};
+  static constexpr u64 kRuns[] = {1,  7,  8,  9,  15, 16, 17, 31, 32, 33,
+                                  47, 48, 49, 63, 64, 65, 95, 96, 97};
   static constexpr u64 kTags[] = {0, 1, 2, 3, 5, 8, 13, 21, 34, 0x7F, 0xFD, 0xFE};
   SpanGen g(seed, sets, /*base_tag=*/4242);
   Stream s;
@@ -264,27 +267,52 @@ TEST_P(ReplayKernel, DefaultGeometryMatchesDirectAccess) {
                                            to_string(GetParam())));
 }
 
-TEST_P(ReplayKernel, EveryCounterPhaseAtThePairStart) {
+TEST_P(ReplayKernel, EveryCounterPhaseInEveryGroupOfATile) {
   REQUIRE_COMPACT_ENGINE();
-  // p one-line misses bring the bimodal counter to p; then group pairs start
-  // on empty sets (fills into empty ways), on full sets (aging, evictions)
-  // and on a mix, each at a counter phase the previous group left.
-  constexpr u64 sets = 64;
+  // p one-line misses bring the bimodal counter to p; then four-group tiles
+  // start on empty sets (fills into empty ways), on full sets (aging,
+  // evictions) and on a mix.  An all-miss tile at counter phase q takes its
+  // 32nd-miss pick in group (31 - q) / 8, so over the 32 values of p the
+  // pick lands in each of the four groups at every starting state.
+  constexpr u64 sets = 128;
   for (u64 p = 0; p < 32; ++p) {
     SpanGen g(1000 + p, sets, /*base_tag=*/17);
     Stream s;
     std::vector<Span> seed_op;
-    for (u64 i = 0; i < p; ++i) seed_op.push_back(g.lines(1, 32 + i, 1));
+    for (u64 i = 0; i < p; ++i) seed_op.push_back(g.lines(1, 96 + i, 1));
     s.prefix.push_back(std::move(seed_op));
-    s.prefix.push_back({g.lines(2, 0, 16)});   // one all-miss pair, empty ways
-    s.prefix.push_back({g.lines(3, 0, 33)});   // two pairs and a one-set tail
-    for (u64 t = 4; t < 14; ++t) s.prefix.push_back({g.lines(t, 0, 32)});  // full sets
-    s.prefix.push_back({g.lines(2, 3, 17), g.lines(13, 0, 16), g.lines(14, 8, 31)});
+    s.prefix.push_back({g.lines(2, 0, 32)});  // one all-miss tile at phase p, empty ways
+    s.prefix.push_back({g.lines(3, 0, 49)});  // a tile, a pair and a one-set tail
+    // Phase p + 17 from here on: each run is two all-miss tiles, on full
+    // sets once eight tags have landed.
+    for (u64 t = 4; t < 14; ++t) s.prefix.push_back({g.lines(t, 0, 64)});
+    s.prefix.push_back({g.lines(2, 3, 33), g.lines(13, 0, 48), g.lines(14, 8, 63)});
     for (u64 i = 0; i < 40; ++i)
-      s.prefix.push_back({g.lines(2 + g.pick(14), g.pick(sets - 33), 16 + g.pick(18))});
+      s.prefix.push_back({g.lines(2 + g.pick(14), g.pick(sets - 97), 16 + g.pick(82))});
     EXPECT_TRUE(
         expect_replay_matches_direct(sets, GetParam(), s, "counter phase " + std::to_string(p)));
   }
+}
+
+TEST_P(ReplayKernel, RunsSplitAtTheWrapInEveryTilePosition) {
+  REQUIRE_COMPACT_ENGINE();
+  // A run across the set-index wrap is two segments, each tiled from its own
+  // first set: the `a` sets before the wrap end after whole tiles, mid-pair
+  // or mid-group, and the `b` sets after it, one tag higher, start a fresh
+  // tile.  Half the runs are re-touched from a later start, which begins
+  // mid-tile of the first pass, for a mix of hits and misses.
+  constexpr u64 sets = 256;
+  static constexpr u64 kSplits[] = {1, 5, 8, 13, 16, 21, 31, 32, 33, 45, 48, 63, 64, 67, 96, 101};
+  SpanGen g(77, sets, /*base_tag=*/900);
+  Stream s;
+  for (const u64 a : kSplits)
+    for (const u64 b : kSplits) {
+      const u64 tag8 = g.pick(10);
+      std::vector<Span> op = {g.lines(tag8, sets - a, a + b)};
+      if (g.pick(2) == 0) op.push_back(g.lines(tag8, sets - a + g.pick(a), a + b));
+      s.prefix.push_back(std::move(op));
+    }
+  EXPECT_TRUE(expect_replay_matches_direct(sets, GetParam(), s, "wrap splits"));
 }
 
 TEST_P(ReplayKernel, PeriodicStreamFastForwardsToTheDirectState) {
