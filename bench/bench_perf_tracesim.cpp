@@ -203,23 +203,17 @@ void BM_DagBuild(benchmark::State& state) {
       benchmark::Counter(iters > 0 ? build_seconds * 1e3 / static_cast<double>(iters) : 0);
 }
 
-// Cold resolve of the four gen= specs of the end-to-end Table IV grid
-// (e2ebench `table4`, seed 1): matrix generation + DAG build, the serial
-// setup phase every `cello_cli sweep` of that grid pays before its first cell.
-// A private registry's cache is cleared each iteration so nothing is reused.
-void BM_ResolveTable4(benchmark::State& state) {
-  const std::vector<std::string> specs = {
-      "cg:gen=fem,m=81920,nnz=327680,seed=1",
-      "bicgstab:gen=fem,m=4704,nnz=104756,seed=1",
-      "gnn:gen=graph,m=2708,nnz=9464,in=1433,out=7,seed=1",
-      "power:gen=circuit,m=150102,nnz=726674,seed=1",
-  };
+// Cold resolve of one gen= spec of the end-to-end Table IV grid (e2ebench
+// `table4`, seed 1): matrix generation + DAG build, the serial setup phase
+// every `cello_cli sweep` of that grid pays before its first cell.  One row
+// per spec, so each generator's share shows.  A private registry's cache is
+// cleared each iteration so nothing is reused.
+void BM_ResolveTable4(benchmark::State& state, const std::string& spec) {
   const sim::WorkloadRegistry registry;
   i64 nnz = 0;
   for (auto _ : state) {
     registry.clear_cache();
-    nnz = 0;
-    for (const auto& spec : specs) nnz += registry.resolve(spec).matrix->nnz();
+    nnz = registry.resolve(spec).matrix->nnz();
     benchmark::DoNotOptimize(nnz);
   }
   state.counters["nnz"] = benchmark::Counter(static_cast<double>(nnz));
@@ -545,7 +539,17 @@ BENCHMARK(BM_SweepCgAnalyticShared)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_SweepCgAnalyticRebuild)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_SweepSharded)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_DagBuild)->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_ResolveTable4)->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_ResolveTable4, cg, std::string("cg:gen=fem,m=81920,nnz=327680,seed=1"))
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_ResolveTable4, bicgstab,
+                  std::string("bicgstab:gen=fem,m=4704,nnz=104756,seed=1"))
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_ResolveTable4, gnn,
+                  std::string("gnn:gen=graph,m=2708,nnz=9464,in=1433,out=7,seed=1"))
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_ResolveTable4, power,
+                  std::string("power:gen=circuit,m=150102,nnz=726674,seed=1"))
+    ->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_ReuseIndexShared)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_LlmDecodeFlexKv)->Arg(4)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_LlmDecodeFlexLru)->Arg(4)->Unit(benchmark::kMillisecond);

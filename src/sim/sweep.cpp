@@ -5,15 +5,13 @@
 #include <cstdlib>
 #include <deque>
 #include <exception>
-#include <functional>
 #include <map>
-#include <mutex>
 #include <optional>
-#include <thread>
 #include <tuple>
 
 #include "common/error.hpp"
 #include "common/failpoint.hpp"
+#include "common/parallel.hpp"
 #include "noc/topology.hpp"
 #include "score/schedule.hpp"
 #include "sim/access_stream.hpp"
@@ -43,48 +41,6 @@ struct WorkloadView {
 bool replay_disabled_by_env() {
   const char* e = std::getenv("CELLO_DISABLE_REPLAY");
   return e != nullptr && *e != '\0' && *e != '0';
-}
-
-/// Worker-pool size for `total` jobs (parallel_for uses exactly this many).
-u32 worker_count(u32 threads, size_t total) {
-  u32 n = threads != 0 ? threads : std::thread::hardware_concurrency();
-  return std::max<u32>(1, std::min<u32>(n, static_cast<u32>(total)));
-}
-
-/// Run body(0..total) over a pool of `threads` workers; `worker` identifies
-/// the executing worker (0..worker_count-1), so callers can hand each one
-/// private reusable state.  The first exception thrown by any job makes
-/// every worker abandon the remaining jobs instead of burning through them;
-/// it is rethrown once the workers stop.
-void parallel_for(u32 threads, size_t total,
-                  const std::function<void(size_t job, u32 worker)>& body) {
-  if (total == 0) return;
-  std::atomic<size_t> next{0};
-  std::atomic<bool> failed{false};
-  std::exception_ptr first_error;
-  std::mutex error_mu;
-
-  auto worker = [&](u32 me) {
-    for (size_t job; (job = next.fetch_add(1)) < total;) {
-      if (failed.load(std::memory_order_relaxed)) return;
-      try {
-        body(job, me);
-      } catch (...) {
-        failed.store(true, std::memory_order_relaxed);
-        std::lock_guard<std::mutex> lock(error_mu);
-        if (!first_error) first_error = std::current_exception();
-      }
-    }
-  };
-
-  const u32 n = worker_count(threads, total);
-  std::vector<std::thread> pool;
-  pool.reserve(n - 1);
-  for (u32 t = 0; t + 1 < n; ++t) pool.emplace_back(worker, t);
-  worker(n - 1);  // the calling thread is the n-th worker
-  for (auto& th : pool) th.join();
-
-  if (first_error) std::rethrow_exception(first_error);
 }
 
 /// One grid row after the fabric axis is applied: a (workload, fabric) pair.

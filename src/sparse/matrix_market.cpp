@@ -56,7 +56,7 @@ CsrMatrix read_matrix_market(std::istream& in) {
                                                           << " x " << cols << " matrix");
 
   std::vector<Triplet> ts;
-  ts.reserve(std::min(static_cast<size_t>(nnz), kMaxTrustedReserve) * (symmetric ? 2 : 1));
+  ts.reserve(std::min(static_cast<size_t>(nnz), kMaxTrustedReserve));
   for (i64 i = 0; i < nnz; ++i) {
     CELLO_CHECK_MSG(std::getline(in, line), "truncated matrix market body at entry " << i);
     std::istringstream entry(line);
@@ -70,9 +70,11 @@ CsrMatrix read_matrix_market(std::istream& in) {
     CELLO_CHECK_MSG(c >= 1 && c <= cols,
                     "entry " << i << ": col " << c << " outside [1, " << cols << "]");
     ts.push_back({r - 1, c - 1, v});
-    if (symmetric && r != c) ts.push_back({c - 1, r - 1, v});
   }
-  return CsrMatrix::from_triplets(rows, cols, std::move(ts));
+  // A symmetric file stores one triangle: each off-diagonal entry stands for
+  // itself and, right after it, its transpose.
+  return CsrMatrix::from_triplets(rows, cols, std::move(ts),
+                                  {.mirror = symmetric ? Mirror::interleaved : Mirror::none});
 }
 
 CsrMatrix read_matrix_market_file(const std::string& path) {

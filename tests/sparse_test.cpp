@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <map>
 #include <sstream>
 #include <string>
 
@@ -167,6 +168,163 @@ TEST(Csr, RowOccupancyStats) {
   EXPECT_NEAR(m.avg_row_nnz(), 1.0, 1e-12);
 }
 
+// ---- parallel assembly ------------------------------------------------------
+
+/// FNV-1a over row_ptr, col_idx and the value bits, each as 8 little-endian
+/// bytes.
+u64 csr_digest(const CsrMatrix& m) {
+  u64 h = 0xcbf29ce484222325ull;
+  auto mix = [&h](u64 word) {
+    for (int b = 0; b < 8; ++b) {
+      h ^= (word >> (8 * b)) & 0xff;
+      h *= 0x100000001b3ull;
+    }
+  };
+  for (const i64 v : m.row_ptr()) mix(static_cast<u64>(v));
+  for (const i64 v : m.col_idx()) mix(static_cast<u64>(v));
+  for (const double v : m.values()) {
+    u64 bits = 0;
+    std::memcpy(&bits, &v, sizeof bits);
+    mix(bits);
+  }
+  return h;
+}
+
+/// What assembly must produce, spelled out the slow way: expand the mirror
+/// into the full stored sequence, fold each coordinate's values in that
+/// order, and apply the diagonal lift row by row.
+std::map<std::pair<i64, i64>, double> reference_assembly(const std::vector<Triplet>& in,
+                                                         const sparse::Assembly& how) {
+  std::vector<Triplet> seq;
+  for (const Triplet& t : in) {
+    seq.push_back(t);
+    if (how.mirror == sparse::Mirror::interleaved && t.row != t.col)
+      seq.push_back({t.col, t.row, t.value});
+  }
+  if (how.mirror == sparse::Mirror::appended)
+    for (const Triplet& t : in)
+      if (t.row != t.col) seq.push_back({t.col, t.row, t.value});
+  std::map<std::pair<i64, i64>, double> acc;
+  for (const Triplet& t : seq) {
+    if (how.lift_diagonal && t.row == t.col) continue;
+    const auto [it, fresh] = acc.emplace(std::make_pair(t.row, t.col), t.value);
+    if (!fresh) it->second += t.value;
+  }
+  if (how.lift_diagonal) {
+    std::map<i64, double> rowsum;
+    for (const auto& [rc, v] : acc) rowsum[rc.first] += std::abs(v);
+    i64 rows = 0;
+    for (const Triplet& t : seq) rows = std::max({rows, t.row + 1, t.col + 1});
+    for (i64 r = 0; r < rows; ++r) acc[{r, r}] = rowsum[r] + how.margin;
+  }
+  return acc;
+}
+
+/// Adversarial entry lists: every row folds order-sensitive duplicates (so a
+/// row split across workers, or summed out of input order, changes bits),
+/// some rows are empty, one row is far past the insertion-sort cutoff, and
+/// the cancelling sums of FromTripletsSumsDuplicatesInInputOrder recur.
+std::vector<Triplet> adversarial_triplets(i64 rows, u64 seed) {
+  Rng rng(seed);
+  std::vector<Triplet> ts;
+  for (int round = 0; round < 3; ++round)
+    for (i64 r = 0; r < rows; ++r) {
+      if (r % 7 == 3) continue;  // empty rows (unless mirrored into)
+      const i64 c = static_cast<i64>(rng.bounded(static_cast<u64>(rows)));
+      ts.push_back({r, c, 1e16});
+      ts.push_back({r, (c + 1) % rows, rng.uniform()});
+      ts.push_back({r, c, 1.0});
+      ts.push_back({r, c, -1e16});
+    }
+  for (int copy = 0; copy < 3; ++copy)
+    for (i64 c = rows - 1; c >= 0; --c) {
+      const double scale = std::pow(10.0, static_cast<double>(rng.bounded(17)) - 8.0);
+      ts.push_back({rows / 2, c, (rng.uniform() - 0.5) * scale});
+    }
+  for (size_t i = ts.size() - 1; i > 0; --i)
+    std::swap(ts[i], ts[rng.bounded(static_cast<u64>(i + 1))]);
+  ts.push_back({1, 1, 1e16});
+  ts.push_back({1, 1, 1.0});
+  ts.push_back({1, 1, -1e16});
+  return ts;
+}
+
+TEST(Assembly, EveryWorkerCountMatchesTheReference) {
+  const i64 rows = 61;
+  const std::vector<Triplet> ts = adversarial_triplets(rows, 3);
+  for (const auto mirror :
+       {sparse::Mirror::none, sparse::Mirror::interleaved, sparse::Mirror::appended})
+    for (const bool lift : {false, true}) {
+      const sparse::Assembly base{.mirror = mirror, .lift_diagonal = lift, .margin = 0.5};
+      const auto expected = reference_assembly(ts, base);
+      u64 digest = 0;
+      for (const u32 workers : {1u, 2u, 3u, 4u, 7u, 0u}) {
+        sparse::Assembly how = base;
+        how.workers = workers;
+        const std::string what = "mirror=" + std::to_string(static_cast<int>(mirror)) +
+                                 " lift=" + std::to_string(lift) +
+                                 " workers=" + std::to_string(workers);
+        const auto m = CsrMatrix::from_triplets(rows, rows, ts, how);
+        m.validate();
+        std::map<std::pair<i64, i64>, double> got;
+        for (i64 r = 0; r < rows; ++r)
+          for (i64 k = m.row_ptr()[r]; k < m.row_ptr()[r + 1]; ++k)
+            got[{r, m.col_idx()[k]}] = m.values()[k];
+        ASSERT_EQ(got.size(), expected.size()) << what;
+        for (const auto& [rc, v] : expected)
+          EXPECT_EQ(got.at(rc), v) << what << " at (" << rc.first << ", " << rc.second << ")";
+        // The compact layout assembles the same bytes.
+        sparse::CooEntries coo;
+        for (const Triplet& t : ts)
+          coo.push(static_cast<u32>(t.row), static_cast<u32>(t.col), t.value);
+        EXPECT_EQ(csr_digest(CsrMatrix::assemble(rows, rows, std::move(coo), how)), csr_digest(m))
+            << what;
+        if (workers == 1) digest = csr_digest(m);
+        EXPECT_EQ(csr_digest(m), digest) << what;
+      }
+    }
+}
+
+TEST(Assembly, DuplicatesStraddlingEveryRangeBoundary) {
+  // Eight rows of 40 copies of one column each: whatever split the workers
+  // pick, a boundary row keeps its input-order sum; a cancelling sequence
+  // that only the left-to-right order turns into 1.0 marks every row.
+  std::vector<Triplet> ts;
+  for (int copy = 0; copy < 40; ++copy)
+    for (i64 r = 0; r < 8; ++r) ts.push_back({r, 5, copy == 0 ? 1e16 : (copy == 1 ? 1.0 : 0.0)});
+  for (i64 r = 0; r < 8; ++r) {
+    ts.push_back({r, 5, -1e16});
+    ts.push_back({r, 5, 1.0});
+  }
+  for (const u32 workers : {1u, 2u, 3u, 4u, 7u}) {
+    const auto m = CsrMatrix::from_triplets(8, 6, ts, {.workers = workers});
+    ASSERT_EQ(m.nnz(), 8) << workers;
+    for (i64 r = 0; r < 8; ++r)
+      EXPECT_EQ(m.values()[r], 1.0) << "row " << r << " workers " << workers;
+  }
+}
+
+TEST(Assembly, OutOfRangeErrorsDoNotDependOnTheWorkerCount) {
+  std::vector<Triplet> ts;
+  for (i64 r = 0; r < 100; ++r) ts.push_back({r, r, 1.0});
+  ts.push_back({3, 100, 1.0});  // the first bad entry
+  ts.push_back({100, 3, 1.0});
+  for (const u32 workers : {1u, 4u, 7u}) {
+    try {
+      CsrMatrix::from_triplets(100, 100, ts, {.workers = workers});
+      ADD_FAILURE() << "no error at workers=" << workers;
+    } catch (const Error& e) {
+      EXPECT_NE(std::string(e.what()).find("triplet col out of range: 100"), std::string::npos)
+          << e.what();
+    }
+  }
+  // A mirrored entry is range-checked as a row too.
+  EXPECT_THROW(
+      CsrMatrix::from_triplets(2, 3, {{0, 2, 1.0}}, {.mirror = sparse::Mirror::interleaved}),
+      Error);
+  EXPECT_THROW(CsrMatrix::from_triplets(3, 2, {}, {.lift_diagonal = true}), Error);
+}
+
 // ---- generators (parameterized over the Table VI datasets) -----------------
 
 class DatasetGeneratorTest : public ::testing::TestWithParam<sparse::DatasetSpec> {};
@@ -244,26 +402,6 @@ TEST(Generators, RejectTargetsTheyCannotReach) {
 
 // ---- bit-exact generator pins ---------------------------------------------
 
-/// FNV-1a over row_ptr, col_idx and the value bits, each as 8 little-endian
-/// bytes.
-u64 csr_digest(const CsrMatrix& m) {
-  u64 h = 0xcbf29ce484222325ull;
-  auto mix = [&h](u64 word) {
-    for (int b = 0; b < 8; ++b) {
-      h ^= (word >> (8 * b)) & 0xff;
-      h *= 0x100000001b3ull;
-    }
-  };
-  for (const i64 v : m.row_ptr()) mix(static_cast<u64>(v));
-  for (const i64 v : m.col_idx()) mix(static_cast<u64>(v));
-  for (const double v : m.values()) {
-    u64 bits = 0;
-    std::memcpy(&bits, &v, sizeof bits);
-    mix(bits);
-  }
-  return h;
-}
-
 // Recorded from the comparison-sort assembly these generators used before
 // the counting-sort rewrite; any change to generation or assembly order that
 // moves a single bit fails here.
@@ -278,31 +416,41 @@ TEST(GeneratorPins, Table6DatasetsAreBitExact) {
     EXPECT_EQ(csr_digest(sparse::instantiate(sparse::dataset_by_name(name))), digest) << name;
 }
 
+/// The four gen= matrices of the Table IV end-to-end grid at seeds 1 and 2.
+struct GenPin {
+  const char* gen;
+  i64 m, nnz;
+  u64 seed, digest;
+};
+constexpr GenPin kTable4Pins[] = {
+    {"fem", 81920, 327680, 1, 0x25f6767f640aeb91ull},
+    {"fem", 4704, 104756, 1, 0x2e3121e70d9f63a7ull},
+    {"graph", 2708, 9464, 1, 0xb0cbe29c5f3386f1ull},
+    {"circuit", 150102, 726674, 1, 0x5bfed559a6282c7bull},
+    {"fem", 81920, 327680, 2, 0x27f939274eefd3f1ull},
+    {"fem", 4704, 104756, 2, 0x18797963b23bf690ull},
+    {"graph", 2708, 9464, 2, 0x10c8084acc01ca40ull},
+    {"circuit", 150102, 726674, 2, 0x28d8a974945229e3ull},
+};
+
+CsrMatrix generate(const GenPin& p, u32 workers = 0) {
+  Rng rng(p.seed);
+  const std::string gen = p.gen;
+  return gen == "fem"       ? sparse::make_fem_banded(p.m, p.nnz, rng, workers)
+         : gen == "circuit" ? sparse::make_circuit(p.m, p.nnz, rng, workers)
+                            : sparse::make_powerlaw_graph(p.m, p.nnz, rng, workers);
+}
+
 TEST(GeneratorPins, Table4GenSpecsAreBitExact) {
-  // The four gen= matrices of the Table IV end-to-end grid at seeds 1 and 2.
-  struct Pin {
-    const char* gen;
-    i64 m, nnz;
-    u64 seed, digest;
-  };
-  const Pin pins[] = {
-      {"fem", 81920, 327680, 1, 0x25f6767f640aeb91ull},
-      {"fem", 4704, 104756, 1, 0x2e3121e70d9f63a7ull},
-      {"graph", 2708, 9464, 1, 0xb0cbe29c5f3386f1ull},
-      {"circuit", 150102, 726674, 1, 0x5bfed559a6282c7bull},
-      {"fem", 81920, 327680, 2, 0x27f939274eefd3f1ull},
-      {"fem", 4704, 104756, 2, 0x18797963b23bf690ull},
-      {"graph", 2708, 9464, 2, 0x10c8084acc01ca40ull},
-      {"circuit", 150102, 726674, 2, 0x28d8a974945229e3ull},
-  };
-  for (const Pin& p : pins) {
-    Rng rng(p.seed);
-    const std::string gen = p.gen;
-    const CsrMatrix m = gen == "fem"       ? sparse::make_fem_banded(p.m, p.nnz, rng)
-                        : gen == "circuit" ? sparse::make_circuit(p.m, p.nnz, rng)
-                                           : sparse::make_powerlaw_graph(p.m, p.nnz, rng);
-    EXPECT_EQ(csr_digest(m), p.digest) << gen << " m=" << p.m << " seed=" << p.seed;
-  }
+  for (const GenPin& p : kTable4Pins)
+    EXPECT_EQ(csr_digest(generate(p)), p.digest) << p.gen << " m=" << p.m << " seed=" << p.seed;
+}
+
+TEST(GeneratorPins, EveryWorkerCountAssemblesTheSameBits) {
+  for (const GenPin& p : kTable4Pins)
+    for (const u32 workers : {1u, 2u, 3u, 4u, 7u})
+      EXPECT_EQ(csr_digest(generate(p, workers)), p.digest)
+          << p.gen << " m=" << p.m << " seed=" << p.seed << " workers=" << workers;
 }
 
 TEST(Generators, DatasetLookup) {
@@ -333,6 +481,23 @@ TEST(MatrixMarket, ReadsSymmetric) {
   m.spmv(x, y);
   EXPECT_DOUBLE_EQ(y[2], 2.0);
   EXPECT_DOUBLE_EQ(y[0], 5.0);
+}
+
+TEST(MatrixMarket, SymmetricDuplicatesAreBitExact) {
+  // One triangle plus stray upper-triangle entries and repeats: (3,1) thrice
+  // and (1,3) once fold into one (3,1)/(1,3) pair, where only the interleaved
+  // order (each entry, then its transpose) gives row 3's sum of 1.0.
+  // Recorded from the parser that pushed each mirrored triplet itself.
+  std::stringstream ss("%%MatrixMarket matrix coordinate real symmetric\n"
+                       "% one triangle plus stray upper entries and repeats\n"
+                       "5 5 12\n"
+                       "1 1 4.0\n3 1 1e16\n2 2 1.5\n1 3 1.0\n3 1 -1e16\n2 2 0.25\n"
+                       "5 2 -3.5\n4 4 2.0\n5 2 0.125\n2 5 1e-3\n3 1 1.0\n5 5 7.0\n");
+  const auto m = sparse::read_matrix_market(ss);
+  m.validate();
+  EXPECT_EQ(m.nnz(), 8);
+  EXPECT_EQ(m.values()[m.row_ptr()[2]], 1.0);
+  EXPECT_EQ(csr_digest(m), 0xac51aeefb688f27cull);
 }
 
 TEST(MatrixMarket, ReadsPattern) {
